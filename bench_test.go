@@ -249,9 +249,9 @@ func benchOnboard(b *testing.B, storm int) {
 // classroom, runs the clock until the newcomer applies its first replication
 // update (client.VR.FirstSyncAt), and leaves again. The headline metric is
 // the mean join-to-first-sync latency; the allocation count covers the
-// client's first full world apply — the path the pose.InterpPool exists for
-// (one pooled playout buffer per visible entity instead of one allocation
-// each). Migration re-joins make both numbers load-bearing: every geo
+// client's first full world apply — the path the replica's slab-carved
+// entity records exist for (one pooled record and playout ring per visible
+// entity instead of one allocation each). Migration re-joins make both numbers load-bearing: every geo
 // handoff that falls back to a snapshot pays exactly this path.
 // scripts/bench.sh gates cold-join-ms alongside the alloc/ns floors.
 func BenchmarkColdJoin(b *testing.B) {

@@ -14,11 +14,10 @@ import (
 // playout (interpolation) buffer per remote participant so displays render
 // smooth motion between network updates.
 type Replica struct {
-	store        *Store
-	buffers      map[protocol.ParticipantID]*pose.InterpBuffer
-	lastCaptured map[protocol.ParticipantID]time.Duration
-	delay        time.Duration
-	extrap       pose.Extrapolator
+	store    *Store
+	entities map[protocol.ParticipantID]*entity
+	delay    time.Duration
+	extrap   pose.Extrapolator
 
 	// OnNew fires when a participant first appears (seat assignment hook).
 	OnNew func(e protocol.EntityState)
@@ -54,20 +53,43 @@ type Replica struct {
 	bufDrops   uint64
 	retained   uint64
 
-	// knownScratch is the reusable present-in-snapshot set; retainedIDs
-	// tracks entities currently retained through snapshot omission (cleared
-	// when an update arrives for them); retainScratch carries their states
-	// across ApplySnapshot's store rebuild.
+	// knownScratch is the reusable present-in-snapshot set; retainScratch
+	// carries retained entities' states across ApplySnapshot's store
+	// rebuild.
 	knownScratch  map[protocol.ParticipantID]bool
-	retainedIDs   map[protocol.ParticipantID]bool
 	retainScratch []protocol.EntityState
-
-	// bufPool recycles playout buffers (slab-allocated) so a cold join into a
-	// large world costs a few slab allocations instead of one buffer + ring
-	// per entity, and churn after the join recycles instead of reallocating.
-	// Built lazily on the first entity so an idle replica allocates nothing.
-	bufPool *pose.InterpPool
+	// retaining lists the entities currently retained through snapshot
+	// omission (each record knows its slot), so expireRetained visits only
+	// them and does nothing in steady state.
+	retaining []*entity
+	// free recycles entity records. Records are carved from slabs (one
+	// []entity plus one shared []pose.Pose backing for their rings), built
+	// lazily on the first entity, so a cold join into a large world costs a
+	// few slab allocations instead of one buffer and ring per entity, churn
+	// after the join recycles instead of reallocating, and an idle replica
+	// allocates nothing.
+	free []*entity
 }
+
+// entity is a replica's per-participant record: everything the receive path
+// keeps beside the store, found with one map lookup per update.
+type entity struct {
+	id  protocol.ParticipantID
+	buf pose.InterpBuffer
+	// captured is the newest CapturedAt applied: the latency watermark and
+	// the retention clock.
+	captured time.Duration
+	// retainSlot is 1 + the record's index in Replica.retaining while the
+	// entity is retained through a snapshot omission, 0 otherwise.
+	retainSlot int
+}
+
+const (
+	// ringCap is the playout ring size of every replicated entity.
+	ringCap = 64
+	// entitySlab is the minimum number of entity records carved at once.
+	entitySlab = 64
+)
 
 // NewReplica creates a replica whose playout buffers render delay behind
 // live using extrap beyond the newest sample (nil = linear dead reckoning).
@@ -76,11 +98,10 @@ func NewReplica(delay time.Duration, extrap pose.Extrapolator) *Replica {
 		extrap = pose.Linear{}
 	}
 	return &Replica{
-		store:        NewStore(),
-		buffers:      make(map[protocol.ParticipantID]*pose.InterpBuffer),
-		lastCaptured: make(map[protocol.ParticipantID]time.Duration),
-		delay:        delay,
-		extrap:       extrap,
+		store:    NewStore(),
+		entities: make(map[protocol.ParticipantID]*entity),
+		delay:    delay,
+		extrap:   extrap,
 	}
 }
 
@@ -109,10 +130,10 @@ func (r *Replica) Apply(msg protocol.Message, now time.Duration) (uint64, bool) 
 			if !known[id] {
 				if r.RetainOmitted {
 					r.retained++
-					if r.retainedIDs == nil {
-						r.retainedIDs = make(map[protocol.ParticipantID]bool)
+					if e := r.entities[id]; e != nil && e.retainSlot == 0 {
+						r.retaining = append(r.retaining, e)
+						e.retainSlot = len(r.retaining)
 					}
-					r.retainedIDs[id] = true
 					if e, ok := r.store.Get(id); ok {
 						r.retainScratch = append(r.retainScratch, e)
 					}
@@ -161,50 +182,81 @@ func (r *Replica) Apply(msg protocol.Message, now time.Duration) (uint64, bool) 
 	}
 }
 
-func (r *Replica) noteEntity(e protocol.EntityState, now time.Duration) {
-	buf, ok := r.buffers[e.Participant]
-	if !ok {
-		if r.bufPool == nil {
-			r.bufPool = pose.NewInterpPool(r.delay, 64, r.extrap, 64)
-		}
-		buf = r.bufPool.Get()
-		r.buffers[e.Participant] = buf
+func (r *Replica) noteEntity(s protocol.EntityState, now time.Duration) {
+	e := r.entities[s.Participant]
+	fresh := e == nil
+	if fresh {
+		e = r.newEntity(s.Participant)
+		r.entities[s.Participant] = e
 		r.bufCreates++
 		if r.OnNew != nil {
-			r.OnNew(e)
+			r.OnNew(s)
 		}
 	}
-	delete(r.retainedIDs, e.Participant) // an update ends the omission
-	pos, rot := e.Pose.Dequantize()
-	p := pose.Pose{
-		Time:     e.CapturedAt,
+	if e.retainSlot != 0 {
+		r.unretain(e) // an update ends the omission
+	}
+	pos, rot := s.Pose.Dequantize()
+	e.buf.Push(pose.Pose{
+		Time:     s.CapturedAt,
 		Position: pos,
 		Rotation: rot,
 		Velocity: mathx.V3(
-			float64(e.VelMMS[0])/1000, float64(e.VelMMS[1])/1000, float64(e.VelMMS[2])/1000,
+			float64(s.VelMMS[0])/1000, float64(s.VelMMS[1])/1000, float64(s.VelMMS[2])/1000,
 		),
-	}
-	buf.Push(p)
+	})
 	// Latency accounting covers fresh information only: redelivery of an
 	// entity whose capture stamp has not advanced (snapshot keyframes,
 	// mirror re-sends) says nothing about pipeline freshness.
-	if last, ok := r.lastCaptured[e.Participant]; !ok || e.CapturedAt > last {
-		r.lastCaptured[e.Participant] = e.CapturedAt
+	if fresh || s.CapturedAt > e.captured {
+		e.captured = s.CapturedAt
 		if r.Latency != nil {
-			r.Latency.Observe(now - e.CapturedAt)
+			r.Latency.Observe(now - s.CapturedAt)
 		}
 	}
 }
 
+// newEntity takes a record from the free list, carving a new slab when it is
+// empty.
+func (r *Replica) newEntity(id protocol.ParticipantID) *entity {
+	if len(r.free) == 0 {
+		n := max(cap(r.free), entitySlab)
+		recs := make([]entity, n)
+		rings := make([]pose.Pose, n*ringCap)
+		for i := range recs {
+			recs[i].buf.Init(r.delay, rings[i*ringCap:(i+1)*ringCap:(i+1)*ringCap], r.extrap)
+			r.free = append(r.free, &recs[i])
+		}
+	}
+	e := r.free[len(r.free)-1]
+	r.free[len(r.free)-1] = nil
+	r.free = r.free[:len(r.free)-1]
+	e.id = id
+	return e
+}
+
+// unretain removes e from the retained list.
+func (r *Replica) unretain(e *entity) {
+	i := e.retainSlot - 1
+	last := r.retaining[len(r.retaining)-1]
+	r.retaining[i] = last
+	last.retainSlot = i + 1
+	r.retaining[len(r.retaining)-1] = nil
+	r.retaining = r.retaining[:len(r.retaining)-1]
+	e.retainSlot = 0
+}
+
 func (r *Replica) dropEntity(id protocol.ParticipantID) {
-	buf, ok := r.buffers[id]
+	e, ok := r.entities[id]
 	if !ok {
 		return
 	}
-	r.bufPool.Put(buf)
-	delete(r.buffers, id)
-	delete(r.lastCaptured, id)
-	delete(r.retainedIDs, id)
+	if e.retainSlot != 0 {
+		r.unretain(e)
+	}
+	delete(r.entities, id)
+	e.buf.Reset()
+	r.free = append(r.free, e)
 	r.bufDrops++
 	if r.OnRemove != nil {
 		r.OnRemove(id)
@@ -214,21 +266,23 @@ func (r *Replica) dropEntity(id protocol.ParticipantID) {
 // expireRetained drops retained entities whose updates have been silent past
 // RetainFor: their removal was conveyed only by snapshot omission (the
 // sender pruned it from the delta log), so without this sweep they would
-// dead-reckon as ghosts forever. Runs on every apply; the retained set is
+// dead-reckon as ghosts forever. Runs on every apply; the retained list is
 // empty in steady state. Iteration order is irrelevant — each entity's
 // verdict depends only on its own watermark.
 func (r *Replica) expireRetained(now time.Duration) {
-	if len(r.retainedIDs) == 0 {
+	if len(r.retaining) == 0 {
 		return
 	}
 	ttl := r.RetainFor
 	if ttl <= 0 {
 		ttl = 2 * time.Second
 	}
-	for id := range r.retainedIDs {
-		if now-r.lastCaptured[id] > ttl {
-			r.store.removeSilent(id)
-			r.dropEntity(id)
+	// Backwards, so the swap-remove in dropEntity only moves records this
+	// sweep has already judged.
+	for i := len(r.retaining) - 1; i >= 0; i-- {
+		if e := r.retaining[i]; now-e.captured > ttl {
+			r.store.removeSilent(e.id)
+			r.dropEntity(e.id)
 		}
 	}
 }
@@ -236,11 +290,11 @@ func (r *Replica) expireRetained(now time.Duration) {
 // Pose samples the replicated participant's pose for display at time at
 // (in the entity's source frame; callers apply seat corrections).
 func (r *Replica) Pose(id protocol.ParticipantID, at time.Duration) (pose.Pose, bool) {
-	buf, ok := r.buffers[id]
+	e, ok := r.entities[id]
 	if !ok {
 		return pose.Pose{}, false
 	}
-	return buf.Sample(at)
+	return e.buf.Sample(at)
 }
 
 // Participants lists replicated participant IDs, ascending.

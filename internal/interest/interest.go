@@ -15,7 +15,9 @@ import (
 )
 
 // Grid is a 2D spatial hash over the classroom floor plane (X/Z), the
-// standard area-of-interest index. Not safe for concurrent use.
+// standard area-of-interest index. Queries (Neighbors, QueryRadius,
+// Position, Len) only read, so any number may run concurrently while no
+// Update or Remove does; mutations need exclusive access.
 type Grid struct {
 	cell float64
 	pos  map[protocol.ParticipantID]mathx.Vec3
@@ -24,10 +26,9 @@ type Grid struct {
 	// Occupied-cell bounding box, maintained incrementally so queries scan
 	// min(query square, occupied box) instead of the full query square — a
 	// 60m cull radius over 4m cells is a 31×31 = 961-cell square, while a
-	// classroom occupies ~16 cells. Inserts extend the box; deleting a
-	// boundary cell marks it dirty for lazy recomputation on the next query.
-	bmin, bmax  [2]int32
-	boundsDirty bool
+	// classroom occupies ~16 cells. Inserts extend the box; emptying a
+	// boundary cell recomputes it at once, so queries never write.
+	bmin, bmax [2]int32
 }
 
 // NewGrid creates a grid with the given cell size in meters (default 4).
@@ -62,7 +63,6 @@ func (g *Grid) Update(id protocol.ParticipantID, p mathx.Vec3) {
 	if cell := g.grid[k]; len(cell) == 0 {
 		if len(g.grid) == 0 {
 			g.bmin, g.bmax = k, k
-			g.boundsDirty = false
 		} else {
 			g.bmin[0] = min(g.bmin[0], k[0])
 			g.bmin[1] = min(g.bmin[1], k[1])
@@ -95,36 +95,29 @@ func (g *Grid) removeFromCell(k [2]int32, id protocol.ParticipantID) {
 	if len(cell) == 0 {
 		delete(g.grid, k)
 		if k[0] == g.bmin[0] || k[0] == g.bmax[0] || k[1] == g.bmin[1] || k[1] == g.bmax[1] {
-			g.boundsDirty = true
+			g.recomputeBounds()
 		}
 	} else {
 		g.grid[k] = cell
 	}
 }
 
-// bounds returns the occupied-cell bounding box, recomputing it when a
-// boundary cell was emptied since the last query. ok is false for an empty
-// grid.
-func (g *Grid) bounds() (bmin, bmax [2]int32, ok bool) {
-	if len(g.grid) == 0 {
-		return bmin, bmax, false
-	}
-	if g.boundsDirty {
-		first := true
-		for k := range g.grid {
-			if first {
-				g.bmin, g.bmax = k, k
-				first = false
-				continue
-			}
-			g.bmin[0] = min(g.bmin[0], k[0])
-			g.bmin[1] = min(g.bmin[1], k[1])
-			g.bmax[0] = max(g.bmax[0], k[0])
-			g.bmax[1] = max(g.bmax[1], k[1])
+// recomputeBounds rebuilds the occupied-cell bounding box after a boundary
+// cell was emptied. An empty grid keeps a stale box; Neighbors checks for
+// that case first.
+func (g *Grid) recomputeBounds() {
+	first := true
+	for k := range g.grid {
+		if first {
+			g.bmin, g.bmax = k, k
+			first = false
+			continue
 		}
-		g.boundsDirty = false
+		g.bmin[0] = min(g.bmin[0], k[0])
+		g.bmin[1] = min(g.bmin[1], k[1])
+		g.bmax[0] = max(g.bmax[0], k[0])
+		g.bmax[1] = max(g.bmax[1], k[1])
 	}
-	return g.bmin, g.bmax, true
 }
 
 // Len returns the number of indexed entities.
@@ -150,13 +143,10 @@ func (g *Grid) QueryRadius(center mathx.Vec3, radius float64) []protocol.Partici
 // spatial hash visits only the cells overlapping the query square, so cost
 // scales with local density instead of total population.
 func (g *Grid) Neighbors(center mathx.Vec3, radius float64, buf []protocol.ParticipantID) []protocol.ParticipantID {
-	if radius < 0 {
+	if radius < 0 || len(g.grid) == 0 {
 		return buf
 	}
-	bmin, bmax, ok := g.bounds()
-	if !ok {
-		return buf
-	}
+	bmin, bmax := g.bmin, g.bmax
 	base := len(buf)
 	r2 := radius * radius
 	lo := g.key(center.Sub(mathx.V3(radius, 0, radius)))

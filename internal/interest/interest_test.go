@@ -3,6 +3,8 @@ package interest
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"metaclass/internal/mathx"
@@ -63,6 +65,40 @@ func TestGridRemove(t *testing.T) {
 	if got := g.QueryRadius(mathx.V3(1, 0, 1), 5); len(got) != 0 {
 		t.Errorf("removed entity in query: %v", got)
 	}
+}
+
+// TestGridConcurrentNeighborsAfterBoundaryRemove pins that queries only
+// read: removing the entity in a boundary cell shrinks the occupied box,
+// and parallel interest refreshes then query the grid from several
+// goroutines at once. Run it under -race.
+func TestGridConcurrentNeighborsAfterBoundaryRemove(t *testing.T) {
+	g := NewGrid(4)
+	var want []protocol.ParticipantID
+	for i := 0; i < 16; i++ {
+		id := protocol.ParticipantID(i + 1)
+		g.Update(id, mathx.V3(float64(i%4)*4+1, 0, float64(i/4)*4+1))
+		want = append(want, id)
+	}
+	g.Update(99, mathx.V3(41, 0, 41)) // alone in the far corner cell
+	g.Remove(99)
+	// No query between the remove and the concurrent ones: the first
+	// queries see the box exactly as the remove left it.
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []protocol.ParticipantID
+			for i := 0; i < 100; i++ {
+				buf = g.Neighbors(mathx.V3(6, 0, 6), 100, buf[:0])
+				if !slices.Equal(buf, want) {
+					t.Errorf("concurrent Neighbors = %v, want %v", buf, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestGridQueryMatchesBruteForce(t *testing.T) {

@@ -33,16 +33,58 @@ const (
 )
 
 func bucketIndex(d time.Duration) int {
-	us := float64(d) / float64(time.Microsecond)
+	return usBucket(float64(d) / float64(time.Microsecond))
+}
+
+// usBucket returns int(log2(us) * bucketsPerOctave), clamped to the bucket
+// range, without taking a logarithm: math.Frexp gives the octave, and the
+// count of that octave's thresholds at or below us gives the bucket within
+// it.
+func usBucket(us float64) int {
 	if us < 1 {
 		return 0
 	}
-	idx := int(math.Log2(us) * bucketsPerOctave)
-	if idx >= bucketCount {
-		idx = bucketCount - 1
+	_, exp := math.Frexp(us) // us in [2^(exp-1), 2^exp)
+	o := exp - 1
+	if o >= octaves {
+		return bucketCount - 1
 	}
-	return idx
+	idx := o * bucketsPerOctave
+	for _, t := range &bucketThresholds[o] {
+		if us < t {
+			break
+		}
+		idx++
+	}
+	return min(idx, bucketCount-1)
 }
+
+// bucketThresholds[o][j] is the smallest value in octave o ([2^o, 2^(o+1))
+// µs) whose defining index int(math.Log2(us) * bucketsPerOctave) is at least
+// o*bucketsPerOctave+j+1, or 2^(o+1) when none is. The last one can fall
+// inside the octave: rounding in math.Log2 puts values just below 2^(o+1) in
+// the next octave's first bucket.
+var bucketThresholds = func() (th [octaves][bucketsPerOctave]float64) {
+	for o := range th {
+		lo, hi := math.Ldexp(1, o), math.Ldexp(1, o+1)
+		for j := range th[o] {
+			want := o*bucketsPerOctave + j + 1
+			// Binary search over the octave's float64 bit patterns, which
+			// order like the values they encode.
+			a, b := math.Float64bits(lo), math.Float64bits(hi)
+			for a < b {
+				m := a + (b-a)/2
+				if int(math.Log2(math.Float64frombits(m))*bucketsPerOctave) >= want {
+					b = m
+				} else {
+					a = m + 1
+				}
+			}
+			th[o][j] = math.Float64frombits(a)
+		}
+	}
+	return th
+}()
 
 func bucketLower(idx int) time.Duration {
 	us := math.Exp2(float64(idx) / bucketsPerOctave)

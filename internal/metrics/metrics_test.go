@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -195,6 +196,52 @@ func TestRegistry(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("String missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// log2USBucket is the logarithm form usBucket must equal exactly.
+func log2USBucket(us float64) int {
+	if us < 1 {
+		return 0
+	}
+	return min(int(math.Log2(us)*bucketsPerOctave), bucketCount-1)
+}
+
+func TestBucketIndexMatchesLog2(t *testing.T) {
+	check := func(d time.Duration) {
+		t.Helper()
+		if got, want := bucketIndex(d), log2USBucket(float64(d)/float64(time.Microsecond)); got != want {
+			t.Fatalf("bucketIndex(%d) = %d, want %d", int64(d), got, want)
+		}
+	}
+	// Every bucket boundary — each exact 2^(i/8) µs and each threshold the
+	// lookup uses — and one float64 ulp either side of it (finer than a
+	// nanosecond), plus the nearest durations.
+	for o := range bucketThresholds {
+		bounds := bucketThresholds[o][:]
+		for j := 0; j < bucketsPerOctave; j++ {
+			bounds = append(bounds, math.Exp2(float64(o)+float64(j)/bucketsPerOctave))
+		}
+		for _, us := range bounds {
+			for _, v := range []float64{math.Nextafter(us, 0), us, math.Nextafter(us, math.Inf(1))} {
+				if got, want := usBucket(v), log2USBucket(v); got != want {
+					t.Fatalf("bucket of %v µs = %d, want %d", v, got, want)
+				}
+				ns := v * float64(time.Microsecond)
+				for _, d := range []float64{math.Floor(ns) - 1, math.Floor(ns), math.Ceil(ns), math.Ceil(ns) + 1} {
+					check(time.Duration(d))
+				}
+			}
+		}
+	}
+	for _, d := range []time.Duration{math.MinInt64, -1, 0, 1, 999, 1000, 1001, math.MaxInt64} {
+		check(d)
+	}
+	// A million random durations, log-uniform over the whole bucket range
+	// and beyond.
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1_000_000; i++ {
+		check(time.Duration(math.Exp2(rng.Float64()*56) + rng.Float64()))
 	}
 }
 

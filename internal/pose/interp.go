@@ -12,11 +12,20 @@ import (
 // The Delay trades latency against smoothness: it must cover network jitter
 // or playback stutters, but adds directly to the end-to-end motion-to-photon
 // lag the paper's 100 ms budget constrains.
+//
+// Samples live in a fixed ring of exactly capacity slots, oldest first from
+// head, so pushing the newest sample writes one slot whether or not the ring
+// is full; only an out-of-order insert moves samples, and only those newer
+// than it.
 type InterpBuffer struct {
-	samples []Pose // time-ordered ring, oldest first
-	cap     int
-	delay   time.Duration
-	extrap  Extrapolator
+	ring []Pose // len(ring) is the capacity
+	head int    // ring index of the oldest sample
+	n    int    // number of buffered samples
+	// newest is the newest sample's Time when n > 0. Push compares against
+	// this copy, so the in-order path touches the ring only to write.
+	newest time.Duration
+	delay  time.Duration
+	extrap Extrapolator
 
 	interpolated uint64
 	extrapolated uint64
@@ -29,94 +38,132 @@ func NewInterpBuffer(delay time.Duration, capacity int, extrap Extrapolator) *In
 	if capacity < 2 {
 		capacity = 64
 	}
+	b := new(InterpBuffer)
+	b.Init(delay, make([]Pose, capacity), extrap)
+	return b
+}
+
+// Init makes b an empty buffer rendering delay behind live that holds up to
+// len(ring) samples in ring, which b owns from then on. It lets an owner
+// embed buffers in its own records and carve their rings from one slab. A
+// nil extrap defaults to Linear; ring must have at least 2 slots.
+func (b *InterpBuffer) Init(delay time.Duration, ring []Pose, extrap Extrapolator) {
+	if len(ring) < 2 {
+		panic("pose: InterpBuffer ring needs at least 2 slots")
+	}
 	if extrap == nil {
 		extrap = Linear{}
 	}
-	// capacity+1: Push appends before trimming to cap, so one spare slot
-	// keeps the full buffer from ever re-growing (and re-allocating) the ring.
-	return &InterpBuffer{
-		samples: make([]Pose, 0, capacity+1),
-		cap:     capacity, delay: delay, extrap: extrap,
+	*b = InterpBuffer{ring: ring, delay: delay, extrap: extrap}
+}
+
+// at returns the i-th oldest buffered sample (0 <= i < capacity).
+func (b *InterpBuffer) at(i int) *Pose {
+	i += b.head
+	if i >= len(b.ring) {
+		i -= len(b.ring)
 	}
+	return &b.ring[i]
 }
 
 // Push inserts a sample. Out-of-order samples older than the newest are
-// inserted in order; duplicates by timestamp replace the stored sample.
+// inserted in order; duplicates by timestamp replace the stored sample. A
+// full buffer evicts its oldest sample, so an out-of-order sample older than
+// everything in a full buffer is dropped.
 func (b *InterpBuffer) Push(p Pose) {
-	n := len(b.samples)
 	// Fast path: newest sample.
-	if n == 0 || p.Time > b.samples[n-1].Time {
-		b.samples = append(b.samples, p)
-	} else {
-		// Find insertion point (buffers are small; linear scan from the back).
-		i := n - 1
-		for i >= 0 && b.samples[i].Time > p.Time {
-			i--
+	if b.n == 0 || p.Time > b.newest {
+		*b.at(b.n) = p // when full, this is the oldest sample's slot
+		b.newest = p.Time
+		if b.n == len(b.ring) {
+			b.dropOldest()
+		} else {
+			b.n++
 		}
-		if i >= 0 && b.samples[i].Time == p.Time {
-			b.samples[i] = p
-			return
-		}
-		b.samples = append(b.samples, Pose{})
-		copy(b.samples[i+2:], b.samples[i+1:])
-		b.samples[i+1] = p
+		return
 	}
-	if len(b.samples) > b.cap {
-		// Drop oldest; copy down to avoid unbounded backing growth.
-		copy(b.samples, b.samples[len(b.samples)-b.cap:])
-		b.samples = b.samples[:b.cap]
+	// Find the newest sample not after p (buffers are small; linear scan
+	// from the back).
+	i := b.n - 1
+	for i >= 0 && b.at(i).Time > p.Time {
+		i--
+	}
+	if i >= 0 && b.at(i).Time == p.Time {
+		*b.at(i) = p
+		return
+	}
+	if b.n == len(b.ring) {
+		if i < 0 {
+			return // older than everything kept: evicted on arrival
+		}
+		b.dropOldest()
+		b.n--
+		i--
+	}
+	// Shift the samples newer than p up one slot and write p below them.
+	for j := b.n; j > i+1; j-- {
+		*b.at(j) = *b.at(j - 1)
+	}
+	*b.at(i + 1) = p
+	b.n++
+}
+
+// dropOldest advances head past the oldest sample without changing n.
+func (b *InterpBuffer) dropOldest() {
+	if b.head++; b.head == len(b.ring) {
+		b.head = 0
 	}
 }
 
 // Len returns the number of buffered samples.
-func (b *InterpBuffer) Len() int { return len(b.samples) }
+func (b *InterpBuffer) Len() int { return b.n }
 
 // Delay returns the configured playout delay.
 func (b *InterpBuffer) Delay() time.Duration { return b.delay }
 
 // Newest returns the most recent sample and whether one exists.
 func (b *InterpBuffer) Newest() (Pose, bool) {
-	if len(b.samples) == 0 {
+	if b.n == 0 {
 		return Pose{}, false
 	}
-	return b.samples[len(b.samples)-1], true
+	return *b.at(b.n - 1), true
 }
 
 // Sample reconstructs the pose at display time now, rendering at target time
 // now - Delay. It returns false only when the buffer is empty.
 func (b *InterpBuffer) Sample(now time.Duration) (Pose, bool) {
-	n := len(b.samples)
+	n := b.n
 	if n == 0 {
 		return Pose{}, false
 	}
 	target := now - b.delay
-	newest := b.samples[n-1]
+	newest := b.at(n - 1)
 	if target >= newest.Time {
 		// Beyond buffered data: dead-reckon forward from the newest sample.
 		b.extrapolated++
-		return b.extrap.Predict(newest, target).At(now), true
+		return b.extrap.Predict(*newest, target).At(now), true
 	}
-	if target <= b.samples[0].Time {
-		return b.samples[0].At(now), true
+	if oldest := b.at(0); target <= oldest.Time {
+		return oldest.At(now), true
 	}
 	// Binary search for the bracketing pair.
 	lo, hi := 0, n-1
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		if b.samples[mid].Time <= target {
+		if b.at(mid).Time <= target {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	a, c := b.samples[lo], b.samples[hi]
+	a, c := b.at(lo), b.at(hi)
 	span := c.Time - a.Time
 	t := 0.0
 	if span > 0 {
 		t = float64(target-a.Time) / float64(span)
 	}
 	b.interpolated++
-	return LerpPose(a, c, t).At(now), true
+	return LerpPose(*a, *c, t).At(now), true
 }
 
 // Stats reports how many samples were answered by interpolation vs.
@@ -129,13 +176,9 @@ func (b *InterpBuffer) Stats() (interpolated, extrapolated uint64) {
 // PruneBefore discards samples older than t (e.g. after a seat reassignment
 // invalidates the motion history).
 func (b *InterpBuffer) PruneBefore(t time.Duration) {
-	i := 0
-	for i < len(b.samples) && b.samples[i].Time < t {
-		i++
-	}
-	if i > 0 {
-		copy(b.samples, b.samples[i:])
-		b.samples = b.samples[:len(b.samples)-i]
+	for b.n > 0 && b.at(0).Time < t {
+		b.dropOldest()
+		b.n--
 	}
 }
 
@@ -143,87 +186,6 @@ func (b *InterpBuffer) PruneBefore(t time.Duration) {
 // capacity, delay, and extrapolator. It is the pooling hook: a recycled
 // buffer must carry no motion history or stats from its previous entity.
 func (b *InterpBuffer) Reset() {
-	b.samples = b.samples[:0]
+	b.head, b.n = 0, 0
 	b.interpolated, b.extrapolated = 0, 0
-}
-
-// InterpPool recycles InterpBuffers for one receiver's cold-join path. A
-// client first seeing an N-entity world otherwise allocates N buffers plus N
-// sample rings one at a time; the pool carves both from slab allocations
-// (one []InterpBuffer, one shared []Pose backing) so a cold join costs a few
-// slab allocations instead of O(entities), and entity churn after the join
-// (interest flicker, seat reuse, migration re-joins) recycles buffers
-// instead of minting garbage.
-//
-// All buffers from one pool share the pool's delay and extrapolator. Not
-// safe for concurrent use — single-goroutine, like the Replica that owns it.
-type InterpPool struct {
-	delay  time.Duration
-	cap    int
-	extrap Extrapolator
-	free   []*InterpBuffer
-}
-
-// NewInterpPool creates a pool of buffers equivalent to
-// NewInterpBuffer(delay, capacity, extrap). slab is the number of buffers
-// carved per slab allocation (min 8; default 64 when <= 0).
-func NewInterpPool(delay time.Duration, capacity int, extrap Extrapolator, slab int) *InterpPool {
-	if capacity < 2 {
-		capacity = 64
-	}
-	if extrap == nil {
-		extrap = Linear{}
-	}
-	if slab <= 0 {
-		slab = 64
-	}
-	if slab < 8 {
-		slab = 8
-	}
-	p := &InterpPool{delay: delay, cap: capacity, extrap: extrap}
-	p.free = make([]*InterpBuffer, 0, slab)
-	return p
-}
-
-// Get returns a reset buffer, growing the pool by one slab when empty.
-func (p *InterpPool) Get() *InterpBuffer {
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return b
-	}
-	p.grow()
-	return p.Get()
-}
-
-// Put returns a buffer to the pool. Only buffers obtained from this pool may
-// be returned (they share its configuration); the buffer is reset
-// immediately so pooled buffers never pin old sample data semantically.
-func (p *InterpPool) Put(b *InterpBuffer) {
-	if b == nil {
-		return
-	}
-	b.Reset()
-	p.free = append(p.free, b)
-}
-
-// grow carves one slab of buffers: a single []InterpBuffer allocation plus a
-// single shared []Pose backing array sliced into per-buffer rings (cap+1
-// each, matching NewInterpBuffer's spare-slot trick).
-func (p *InterpPool) grow() {
-	n := cap(p.free)
-	if n < 8 {
-		n = 8
-	}
-	bufs := make([]InterpBuffer, n)
-	ring := make([]Pose, n*(p.cap+1))
-	for i := range bufs {
-		b := &bufs[i]
-		b.samples = ring[i*(p.cap+1) : i*(p.cap+1) : (i+1)*(p.cap+1)]
-		b.cap = p.cap
-		b.delay = p.delay
-		b.extrap = p.extrap
-		p.free = append(p.free, b)
-	}
 }
