@@ -680,11 +680,10 @@ func buildPlanFixture(b *testing.B, pool *work.Pool) (*core.Replicator, func()) 
 }
 
 // BenchmarkPlanTick measures the replication planner alone at pool widths
-// 1, 2, and 4: width 1 is the serial legacy path; wider pools shard the
-// filtered per-peer and ack-cohort builds and pay only the deterministic
-// merge on top. The plan is byte-identical at every width (the
-// TestParallelPlanMatchesSerial contract), so ns/op is the only thing that
-// may move.
+// 1, 2, and 4: width 1 runs every build inline; wider pools shard the
+// filtered per-peer and ack-cohort builds across workers. The plan is
+// byte-identical at every width (the TestPlanIdenticalAcrossWidths
+// contract), so ns/op is the only thing that may move.
 func BenchmarkPlanTick(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -705,8 +704,8 @@ func BenchmarkPlanTick(b *testing.B) {
 
 // BenchmarkFanout measures the dispatcher's cohort encode + send walk over
 // a fixed ~40-cohort plan at pool widths 1, 2, and 4, against a sink
-// transport. Wider pools pre-encode the distinct cohorts in parallel; the
-// send walk stays in plan order on the caller.
+// transport. The distinct cohorts are encoded first (in parallel on wider
+// pools); the send walk stays in plan order on the caller.
 func BenchmarkFanout(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

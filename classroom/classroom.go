@@ -87,8 +87,8 @@ type Config struct {
 	// RoomSensorCount is the per-campus sensor array size (default 4).
 	RoomSensorCount int
 	// Parallelism bounds every node's tick worker pool (see
-	// node.Config.Parallelism): 0 means GOMAXPROCS, 1 the exact
-	// single-threaded legacy path. Results are identical at every width.
+	// node.Config.Parallelism): 0 means GOMAXPROCS, 1 runs the same tick
+	// with every job inline. Results are identical at every width.
 	Parallelism int
 }
 

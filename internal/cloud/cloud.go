@@ -55,7 +55,8 @@ type Config struct {
 	Interest *interest.Policy
 	// Repl tunes the replicator.
 	Repl core.ReplConfig
-	// Parallelism bounds the tick worker pool (see node.Config.Parallelism).
+	// Parallelism bounds the tick worker pool; 1 runs the same tick inline
+	// (see node.Config.Parallelism).
 	Parallelism int
 }
 

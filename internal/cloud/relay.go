@@ -31,7 +31,8 @@ type RelayConfig struct {
 	Interest *interest.Policy
 	// Repl tunes the client replicator.
 	Repl core.ReplConfig
-	// Parallelism bounds the tick worker pool (see node.Config.Parallelism).
+	// Parallelism bounds the tick worker pool; 1 runs the same tick inline
+	// (see node.Config.Parallelism).
 	Parallelism int
 }
 

@@ -9,38 +9,165 @@ import (
 	"metaclass/internal/protocol"
 )
 
-// referencePlanTick reimplements the seed's per-peer planner (one Delta or
-// Snapshot built independently for every peer, no cohorts) against a shadow
-// of the peer table. The cohort planner must emit byte-identical frames in
-// the same peer order.
+// refPeer is the reference planner's shadow of one peer: its ack state and
+// counters, plus — for a filtered peer — its own owed set. log holds the
+// LossRepair send log; only its record bookkeeping is shared with the
+// replicator, never the planner.
 type refPeer struct {
 	ackTick      uint64
 	acked        bool
 	lastSnapshot uint64
+	snapshots    uint64
+	deltas       uint64
+	filter       FilterFunc
+	owed         *OwedSet
+	log          peerState
 }
 
-func referencePlanTick(s *Store, cfg ReplConfig, peers map[string]*refPeer, order []string) []PeerMessage {
+func newRefPeer(filter FilterFunc) *refPeer {
+	p := &refPeer{filter: filter}
+	if filter != nil {
+		p.owed = NewOwedSet()
+	}
+	return p
+}
+
+// ack mirrors Replicator.Ack: the owed set settles on receipt, and the
+// floor advances (or, under LossRepair, regresses to a skipped window).
+func (p *refPeer) ack(tick uint64, lossRepair bool) {
+	p.owed.AckDrop(tick)
+	floor, repair := tick, false
+	if lossRepair {
+		floor, repair = p.log.resolveAck(tick)
+	}
+	switch {
+	case !p.acked || floor > p.ackTick:
+		p.ackTick, p.acked = floor, true
+	case repair && floor < p.ackTick:
+		p.ackTick = floor
+	}
+}
+
+// stats is the reference's view of Replicator.StatsOf.
+func (p *refPeer) stats() PeerStats {
+	return PeerStats{AckTick: p.ackTick, Acked: p.acked, Snapshots: p.snapshots, Deltas: p.deltas, Owed: p.owed.Len()}
+}
+
+// refMessage is one reference plan entry. key names the cohort the message
+// belongs to: "snap" for the shared broadcast snapshot, "delta@<base>" for
+// an unfiltered delta, "peer:<id>" for a filtered peer's own message.
+type refMessage struct {
+	PeerMessage
+	key string
+}
+
+// referencePlanTick is a per-peer planner covering filtered and unfiltered
+// peers: every peer's Delta or Snapshot is built independently, freshly
+// allocated, with no cohorts and no pool, against a shadow of the peer
+// table. order must list the peers in sorted order. PlanTick must emit
+// byte-identical frames in the same peer order, and group peers into
+// cohorts exactly by key.
+func referencePlanTick(s *Store, cfg ReplConfig, peers map[string]*refPeer, order []string) []refMessage {
 	cfg.applyDefaults()
 	tick := s.Tick()
-	var out []PeerMessage
+	var out []refMessage
 	for _, id := range order {
 		p := peers[id]
+		var allows func(protocol.ParticipantID) bool
+		if p.filter != nil {
+			f := p.filter
+			allows = func(eid protocol.ParticipantID) bool { return f(eid, tick) }
+		}
 		wantSnapshot := !p.acked ||
 			tick-p.ackTick > cfg.MaxDeltaWindow ||
 			(cfg.SnapshotEvery > 0 && tick-p.lastSnapshot >= cfg.SnapshotEvery)
 		if wantSnapshot {
-			snap := s.Snapshot(nil)
+			var msg *protocol.Snapshot
+			key := "snap"
+			if p.filter != nil {
+				msg = &protocol.Snapshot{}
+				s.SnapshotOwedInto(allows, msg, p.owed)
+				key = "peer:" + id
+			} else {
+				msg = s.Snapshot(nil)
+			}
 			p.lastSnapshot = tick
-			out = append(out, PeerMessage{Peer: id, Msg: snap})
+			p.snapshots++
+			if cfg.LossRepair {
+				p.log.noteSent(tick, p.ackTick, true)
+			}
+			out = append(out, refMessage{PeerMessage{Peer: id, Msg: msg}, key})
 			continue
 		}
-		delta := s.DeltaSince(p.ackTick, nil)
+		var delta *protocol.Delta
+		key := fmt.Sprintf("delta@%d", p.ackTick)
+		if p.filter != nil {
+			delta = &protocol.Delta{}
+			s.DeltaSinceOwedCands(p.ackTick, allows, delta, nil, p.owed, p.ackTick, cfg.OwedSettleTicks)
+			key = "peer:" + id
+		} else {
+			delta = s.DeltaSince(p.ackTick, nil)
+		}
 		if len(delta.Changed) == 0 && len(delta.Removed) == 0 {
 			continue
 		}
-		out = append(out, PeerMessage{Peer: id, Msg: delta})
+		p.deltas++
+		if cfg.LossRepair {
+			p.log.noteSent(tick, p.ackTick, false)
+		}
+		out = append(out, refMessage{PeerMessage{Peer: id, Msg: delta}, key})
 	}
 	return out
+}
+
+// checkPlanAgainstReference asserts plan is the reference plan: the same
+// peers in the same order with byte-identical frames, cohort IDs dense and
+// ascending in first-use order with one cohort per reference key, and every
+// cohort's members sharing one Msg pointer that no other cohort uses. It
+// returns the plan's encoded byte total.
+func checkPlanAgainstReference(t *testing.T, label string, plan []PeerMessage, ref []refMessage) uint64 {
+	t.Helper()
+	if len(plan) != len(ref) {
+		t.Fatalf("%s: planned %d messages, reference %d", label, len(plan), len(ref))
+	}
+	cohortOf := map[string]int{}
+	var cohortMsg []protocol.Message
+	var total uint64
+	for i, pm := range plan {
+		if pm.Peer != ref[i].Peer {
+			t.Fatalf("%s: message %d to %s, reference to %s", label, i, pm.Peer, ref[i].Peer)
+		}
+		want, seen := cohortOf[ref[i].key]
+		if !seen {
+			want = len(cohortMsg)
+			cohortOf[ref[i].key] = want
+			for c, m := range cohortMsg {
+				if m == pm.Msg {
+					t.Fatalf("%s: %s (cohort %d) shares cohort %d's message", label, pm.Peer, pm.Cohort, c)
+				}
+			}
+			cohortMsg = append(cohortMsg, pm.Msg)
+		}
+		if pm.Cohort != want {
+			t.Fatalf("%s: %s in cohort %d, want %d (%s)", label, pm.Peer, pm.Cohort, want, ref[i].key)
+		}
+		if pm.Msg != cohortMsg[want] {
+			t.Fatalf("%s: %s does not share cohort %d's message", label, pm.Peer, want)
+		}
+		got, err := protocol.Encode(pm.Msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := protocol.Encode(ref[i].Msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, exp) {
+			t.Fatalf("%s: frame to %s diverged from the reference plan", label, pm.Peer)
+		}
+		total += uint64(len(got))
+	}
+	return total
 }
 
 // TestCohortPlanMatchesPerPeerPlanBroadcast churns a store for hundreds of
@@ -62,11 +189,11 @@ func TestCohortPlanMatchesPerPeerPlanBroadcast(t *testing.T) {
 		if err := repl.AddPeer(id, nil); err != nil {
 			t.Fatal(err)
 		}
-		refPeers[id] = &refPeer{}
+		refPeers[id] = newRefPeer(nil)
 		order = append(order, id)
 	}
 
-	var cohortBytes, refBytes uint64
+	var cohortBytes uint64
 	for tick := 0; tick < 300; tick++ {
 		// Identical mutations on both stores.
 		mutate := func(s *Store) {
@@ -89,27 +216,7 @@ func TestCohortPlanMatchesPerPeerPlanBroadcast(t *testing.T) {
 
 		plan := repl.PlanTick()
 		ref := referencePlanTick(shadow, cfg, refPeers, order)
-		if len(plan) != len(ref) {
-			t.Fatalf("tick %d: cohort planned %d messages, reference %d", tick, len(plan), len(ref))
-		}
-		for i := range plan {
-			if plan[i].Peer != ref[i].Peer {
-				t.Fatalf("tick %d: message %d to %s, reference to %s", tick, i, plan[i].Peer, ref[i].Peer)
-			}
-			got, err := protocol.Encode(plan[i].Msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := protocol.Encode(ref[i].Msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("tick %d: frame to %s diverged from per-peer planning", tick, plan[i].Peer)
-			}
-			cohortBytes += uint64(len(got))
-			refBytes += uint64(len(want))
-		}
+		cohortBytes += checkPlanAgainstReference(t, fmt.Sprintf("tick %d", tick), plan, ref)
 
 		// Peers ack at mixed cadences; peer-00 never acks, exercising the
 		// un-acked snapshot path alongside delta cohorts.
@@ -121,13 +228,9 @@ func TestCohortPlanMatchesPerPeerPlanBroadcast(t *testing.T) {
 				if err := repl.Ack(id, src.Tick()); err != nil {
 					t.Fatal(err)
 				}
-				refPeers[id].ackTick = shadow.Tick()
-				refPeers[id].acked = true
+				refPeers[id].ack(shadow.Tick(), false)
 			}
 		}
-	}
-	if cohortBytes != refBytes {
-		t.Fatalf("sync.bytes.sent diverged: cohort=%d per-peer=%d", cohortBytes, refBytes)
 	}
 	if cohortBytes == 0 {
 		t.Fatal("test drove no replication traffic")

@@ -32,6 +32,7 @@ func BenchmarkDeltaSinceChurn(b *testing.B) {
 		b.Run(fmt.Sprintf("pop%d", pop), func(b *testing.B) {
 			s := benchStorePop(pop)
 			var msg protocol.Delta
+			var cands []protocol.ParticipantID
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				base := s.Tick()
@@ -43,7 +44,7 @@ func BenchmarkDeltaSinceChurn(b *testing.B) {
 						CapturedAt:  time.Duration(i),
 					})
 				}
-				s.DeltaSinceInto(base, nil, &msg)
+				cands = s.DeltaSinceCands(base, nil, &msg, cands)
 				if len(msg.Changed) != churn {
 					b.Fatalf("delta carried %d changes, want %d", len(msg.Changed), churn)
 				}
@@ -63,9 +64,10 @@ func BenchmarkDeltaSinceFullScanFallback(b *testing.B) {
 		s.BeginTick()
 	}
 	var msg protocol.Delta
+	var cands []protocol.ParticipantID
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.DeltaSinceInto(1, nil, &msg)
+		cands = s.DeltaSinceCands(1, nil, &msg, cands)
 	}
 }
 

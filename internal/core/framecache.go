@@ -14,17 +14,18 @@ var (
 	encodePending = &protocol.Frame{}
 )
 
-// FrameCache turns a PlanTick result into refcounted wire frames, encoding
-// each distinct cohort payload exactly once per tick and handing the
-// identical pooled frame to every cohort member with one reference per
-// recipient. The cache itself holds one base reference per cohort frame,
-// dropped at the next Reset, so a frame's bytes live exactly as long as the
-// slowest in-flight copy needs them and then return to the frame pool.
+// FrameCache turns a PlanTick result into refcounted wire frames: EncodePlan
+// encodes each distinct cohort payload exactly once per tick, and FrameFor
+// hands the identical pooled frame to every cohort member with one
+// reference per recipient. The cache itself holds one base reference per
+// cohort frame, dropped at the next Reset, so a frame's bytes live exactly
+// as long as the slowest in-flight copy needs them and then return to the
+// frame pool.
 type FrameCache struct {
 	frames []*protocol.Frame
 
-	// Parallel-encode scratch (see EncodePlan): the distinct cohorts of the
-	// plan being encoded and the hoisted job body, built once so pool runs
+	// Encode scratch (see EncodePlan): the distinct cohorts of the plan
+	// being encoded and the hoisted job body, built once so pool runs
 	// allocate nothing.
 	jobs []encodeJob
 	fn   func(worker, i int)
@@ -51,43 +52,32 @@ func (c *FrameCache) Reset() {
 	c.frames = c.frames[:0]
 }
 
-// FrameFor returns the encoded frame for pm with one reference owned by the
-// caller, encoding its cohort's payload on first use this tick. The caller
-// must consume that reference exactly once — normally by passing the frame
-// to netsim.Network.SendFrame, which releases it on every outcome. It
-// returns nil when encoding failed (callers should count an encode error
-// per affected peer, matching per-peer encoding semantics).
+// FrameFor returns the frame EncodePlan encoded for pm's cohort, with one
+// reference owned by the caller. The caller must consume that reference
+// exactly once — normally by passing the frame to netsim.Network.SendFrame,
+// which releases it on every outcome. It returns nil when the cohort failed
+// to encode or was never encoded this tick (callers should count an encode
+// error per affected peer, matching per-peer encoding semantics).
 func (c *FrameCache) FrameFor(pm PeerMessage) *protocol.Frame {
-	for pm.Cohort >= len(c.frames) {
-		c.frames = append(c.frames, nil)
+	if pm.Cohort >= len(c.frames) {
+		return nil
 	}
 	f := c.frames[pm.Cohort]
-	if f == nil {
-		var err error
-		if f, err = protocol.EncodeFrame(pm.Msg); err != nil {
-			f = encodeFailed
-		}
-		c.frames[pm.Cohort] = f
-	}
-	if f == encodeFailed {
+	if f == nil || f == encodeFailed {
 		return nil
 	}
 	f.Retain()
 	return f
 }
 
-// EncodePlan pre-encodes every distinct cohort of plan across the pool's
-// workers, so the subsequent in-order FrameFor walk only retains cached
-// frames. Each job encodes into its own frame-table slot; EncodeFrame
-// itself is thread-safe (pooled frames, atomic refcounts). Cohorts whose
-// payload fails to encode get the failure sentinel, exactly as the lazy
-// path would — FrameFor still reports them as nil per recipient, and no
-// frame reference leaks. A nil or serial pool makes this a no-op: the lazy
-// single-threaded path is the legacy behavior.
+// EncodePlan encodes every distinct cohort of plan not yet in the table,
+// across the pool's workers (inline on a nil or 1-worker pool), so the
+// subsequent in-order FrameFor walk only retains cached frames. Each job
+// encodes into its own frame-table slot; EncodeFrame itself is thread-safe
+// (pooled frames, atomic refcounts). Cohorts whose payload fails to encode
+// get the failure sentinel — FrameFor reports them as nil per recipient, and
+// no frame reference leaks.
 func (c *FrameCache) EncodePlan(plan []PeerMessage, pool *work.Pool) {
-	if !pool.Parallel() || len(plan) < 2 {
-		return
-	}
 	jobs := c.jobs[:0]
 	for _, pm := range plan {
 		for pm.Cohort >= len(c.frames) {

@@ -4,30 +4,49 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"metaclass/internal/protocol"
 	"metaclass/internal/work"
 )
 
-// driveParallelVsSerial churns two identically-mutated stores for many ticks
-// — one planned serially (nil pool), one planned on a parallel pool — with a
-// randomized mix of filtered peers, ack-cohort peers, a never-acking peer,
-// and membership churn, asserting every tick that the parallel plan is
-// byte-identical to the serial one: same peer order, same cohort numbering,
-// same encoded frames, and at the end the same per-peer counters. Run under
-// -race in CI, it is also the data-race probe for the concurrent builds.
-func driveParallelVsSerial(t *testing.T, workers, ticks int) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(int64(workers)*1000 + 17))
-	cfg := ReplConfig{MaxDeltaWindow: 30, SnapshotEvery: 70}
-	pcfg := cfg
-	pcfg.Pool = work.New(workers)
-	defer pcfg.Pool.Close()
+// TestPlanIdenticalAcrossWidths churns two identically-mutated stores for
+// many ticks — one planned by the reference per-peer planner, one by
+// PlanTick at pool width nil, 1, 2 or 8 — with a randomized mix of filtered
+// peers, ack-cohort peers, a never-acking peer, and membership churn. Every
+// tick the plan must match the reference: same peer order, byte-identical
+// frames, dense first-use cohort IDs, one shared Msg per cohort; at the end
+// every peer's StatsOf counters must match too. Each width runs with
+// LossRepair off and on (skipped acks regress the floor). Run under -race
+// in CI, it is also the data-race probe for the concurrent builds.
+func TestPlanIdenticalAcrossWidths(t *testing.T) {
+	for _, workers := range []int{0, 1, 2, 8} {
+		name := fmt.Sprintf("workers=%d", workers)
+		if workers == 0 {
+			name = "pool=nil"
+		}
+		t.Run(name, func(t *testing.T) {
+			for _, lossRepair := range []bool{false, true} {
+				t.Run(fmt.Sprintf("loss_repair=%v", lossRepair), func(t *testing.T) {
+					drivePlanAgainstReference(t, workers, lossRepair, 240)
+				})
+			}
+		})
+	}
+}
 
-	sSer, sPar := NewStore(), NewStore()
-	rSer := NewReplicator(sSer, cfg)
-	rPar := NewReplicator(sPar, pcfg)
+func drivePlanAgainstReference(t *testing.T, workers int, lossRepair bool, ticks int) {
+	rng := rand.New(rand.NewSource(17))
+	cfg := ReplConfig{MaxDeltaWindow: 30, SnapshotEvery: 70, LossRepair: lossRepair}
+	pcfg := cfg
+	if workers > 0 {
+		pcfg.Pool = work.New(workers)
+		defer pcfg.Pool.Close()
+	}
+	store, refStore := NewStore(), NewStore()
+	repl := NewReplicator(store, pcfg)
+	refPeers := map[string]*refPeer{}
 
 	filters := []FilterFunc{
 		nil,
@@ -37,27 +56,24 @@ func driveParallelVsSerial(t *testing.T, workers, ticks int) {
 		func(id protocol.ParticipantID, tick uint64) bool { return (uint64(id)+tick)%4 != 0 },
 	}
 	nPeers := 0
-	addPeer := func() string {
+	addPeer := func() {
 		id := fmt.Sprintf("peer-%03d", nPeers)
 		f := filters[nPeers%len(filters)]
-		if err := rSer.AddPeer(id, f); err != nil {
+		if err := repl.AddPeer(id, f); err != nil {
 			t.Fatal(err)
 		}
-		if err := rPar.AddPeer(id, f); err != nil {
-			t.Fatal(err)
-		}
+		refPeers[id] = newRefPeer(f)
 		nPeers++
-		return id
 	}
 	for i := 0; i < 10; i++ {
 		addPeer()
 	}
 
-	var peerBuf []string
+	var order []string
 	compared := 0
 	for tick := 0; tick < ticks; tick++ {
 		mutSeed := rng.Int63()
-		for _, s := range []*Store{sSer, sPar} {
+		for _, s := range []*Store{store, refStore} {
 			mrng := rand.New(rand.NewSource(mutSeed))
 			s.BeginTick()
 			for i := 0; i < 6; i++ {
@@ -74,53 +90,31 @@ func driveParallelVsSerial(t *testing.T, workers, ticks int) {
 		}
 		if tick%31 == 19 && nPeers > 4 {
 			victim := fmt.Sprintf("peer-%03d", rng.Intn(nPeers))
-			if rSer.HasPeer(victim) {
-				_ = rSer.RemovePeer(victim)
-				_ = rPar.RemovePeer(victim)
+			if _, ok := refPeers[victim]; ok {
+				delete(refPeers, victim)
+				if err := repl.RemovePeer(victim); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 
-		planSer := rSer.PlanTick()
-		planPar := rPar.PlanTick()
-		if len(planSer) != len(planPar) {
-			t.Fatalf("workers=%d tick %d: parallel planned %d messages, serial %d",
-				workers, tick, len(planPar), len(planSer))
+		order = order[:0]
+		for id := range refPeers {
+			order = append(order, id)
 		}
-		for i := range planSer {
-			if planPar[i].Peer != planSer[i].Peer {
-				t.Fatalf("workers=%d tick %d msg %d: peer %s, serial %s",
-					workers, tick, i, planPar[i].Peer, planSer[i].Peer)
-			}
-			if planPar[i].Cohort != planSer[i].Cohort {
-				t.Fatalf("workers=%d tick %d msg %d (%s): cohort %d, serial %d",
-					workers, tick, i, planPar[i].Peer, planPar[i].Cohort, planSer[i].Cohort)
-			}
-			got, err := protocol.Encode(planPar[i].Msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := protocol.Encode(planSer[i].Msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("workers=%d tick %d: frame to %s diverged from serial plan",
-					workers, tick, planPar[i].Peer)
-			}
-			compared++
-		}
+		sort.Strings(order)
+		ref := referencePlanTick(refStore, cfg, refPeers, order)
+		checkPlanAgainstReference(t, fmt.Sprintf("tick %d", tick), repl.PlanTick(), ref)
+		compared += len(ref)
 
-		// Mixed-cadence acks (peer index 0 never acks) keep several distinct
-		// ack baselines — and therefore several delta cohorts — live.
-		peerBuf = rSer.PeersAppend(peerBuf[:0])
-		for i, id := range peerBuf {
+		// Mixed-cadence acks (the first peer never acks) keep several
+		// distinct ack baselines — and therefore several delta cohorts — live.
+		for i, id := range order {
 			if i == 0 || tick%(i%5+2) != 0 {
 				continue
 			}
-			if err := rSer.Ack(id, sSer.Tick()); err != nil {
-				t.Fatal(err)
-			}
-			if err := rPar.Ack(id, sPar.Tick()); err != nil {
+			refPeers[id].ack(refStore.Tick(), lossRepair)
+			if err := repl.Ack(id, store.Tick()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -128,34 +122,20 @@ func driveParallelVsSerial(t *testing.T, workers, ticks int) {
 	if compared == 0 {
 		t.Fatal("test compared no messages")
 	}
-	for _, id := range rSer.Peers() {
-		ss, err := rSer.StatsOf(id)
+	for _, id := range order {
+		got, err := repl.StatsOf(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := rPar.StatsOf(id)
-		if err != nil {
-			t.Fatal(err)
+		if want := refPeers[id].stats(); got != want {
+			t.Fatalf("stats of %s = %+v, reference %+v", id, got, want)
 		}
-		if ss != sp {
-			t.Fatalf("workers=%d: stats of %s diverged: parallel %+v, serial %+v", workers, id, sp, ss)
-		}
-	}
-}
-
-// TestParallelPlanMatchesSerial covers the deterministic-merge contract at
-// worker counts 1 (the exact legacy inline path), 2, and 8.
-func TestParallelPlanMatchesSerial(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			driveParallelVsSerial(t, workers, 240)
-		})
 	}
 }
 
 // TestParallelEncodeFailureLeaksNoFrames drives EncodePlan over a plan where
 // one cohort's payload exceeds protocol.MaxPayload: the failed cohort must
-// report nil per recipient (exactly like the lazy path), the healthy cohorts
+// report nil per recipient, the healthy cohorts
 // must still share frames, and no pooled frame may leak.
 func TestParallelEncodeFailureLeaksNoFrames(t *testing.T) {
 	live0 := protocol.LiveFrames()
@@ -213,15 +193,13 @@ func TestParallelEncodeFailureLeaksNoFrames(t *testing.T) {
 	}
 }
 
-// TestParallelFanoutFramesMatchLazy encodes the same plan through EncodePlan
-// and through the lazy FrameFor-only path and checks the produced wire bytes
-// are identical frame for frame.
-func TestParallelFanoutFramesMatchLazy(t *testing.T) {
+// TestEncodePlanFramesMatchEncode encodes one plan through EncodePlan at a
+// nil pool and at width 4 and checks every recipient's frame carries exactly
+// the bytes protocol.Encode produces for its message.
+func TestEncodePlanFramesMatchEncode(t *testing.T) {
 	live0 := protocol.LiveFrames()
 	s := NewStore()
-	pool := work.New(4)
-	defer pool.Close()
-	r := NewReplicator(s, ReplConfig{Pool: pool})
+	r := NewReplicator(s, ReplConfig{})
 	evens := func(id protocol.ParticipantID, _ uint64) bool { return id%2 == 0 }
 	for i := 0; i < 6; i++ {
 		var f FilterFunc
@@ -238,22 +216,27 @@ func TestParallelFanoutFramesMatchLazy(t *testing.T) {
 	}
 
 	plan := r.PlanTick()
-	var eager, lazy FrameCache
-	eager.EncodePlan(plan, pool)
-	for _, pm := range plan {
-		fe := eager.FrameFor(pm)
-		fl := lazy.FrameFor(pm)
-		if fe == nil || fl == nil {
-			t.Fatalf("encode failed for %s", pm.Peer)
+	pool := work.New(4)
+	defer pool.Close()
+	for _, p := range []*work.Pool{nil, pool} {
+		var cache FrameCache
+		cache.EncodePlan(plan, p)
+		for _, pm := range plan {
+			f := cache.FrameFor(pm)
+			if f == nil {
+				t.Fatalf("workers=%d: encode failed for %s", p.Workers(), pm.Peer)
+			}
+			want, err := protocol.Encode(pm.Msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(f.Bytes(), want) {
+				t.Fatalf("workers=%d: frame to %s differs from protocol.Encode", p.Workers(), pm.Peer)
+			}
+			f.Release()
 		}
-		if !bytes.Equal(fe.Bytes(), fl.Bytes()) {
-			t.Fatalf("parallel-encoded frame to %s differs from lazy encode", pm.Peer)
-		}
-		fe.Release()
-		fl.Release()
+		cache.Reset()
 	}
-	eager.Reset()
-	lazy.Reset()
 	if live := protocol.LiveFrames(); live != live0 {
 		t.Fatalf("%d frames leaked", live-live0)
 	}

@@ -56,9 +56,8 @@ type Store struct {
 	// ticks [ringLo, tick] contiguously; receiver-side tick jumps
 	// (ApplySnapshot/ApplyDelta) invalidate it, and it is allocated lazily on
 	// the first BeginTick so pure-receiver stores never pay for it.
-	dirty       [][]protocol.ParticipantID
-	ringLo      uint64
-	candScratch []protocol.ParticipantID
+	dirty  [][]protocol.ParticipantID
+	ringLo uint64
 }
 
 // NewStore creates an empty store at tick zero.
@@ -223,7 +222,7 @@ func (s *Store) Snapshot(filter func(protocol.ParticipantID) bool) *protocol.Sna
 // SnapshotInto is Snapshot building into msg, reusing its Entities
 // capacity; the replicator threads per-peer/cohort scratch messages through
 // it so steady-state snapshot planning allocates nothing (mirroring what
-// DeltaSinceInto does for deltas and the pooled Decoder does on receive).
+// DeltaSinceCands does for deltas and the pooled Decoder does on receive).
 func (s *Store) SnapshotInto(filter func(protocol.ParticipantID) bool, msg *protocol.Snapshot) {
 	msg.Tick = s.tick
 	msg.Entities = msg.Entities[:0]
@@ -242,26 +241,22 @@ func (s *Store) SnapshotInto(filter func(protocol.ParticipantID) bool, msg *prot
 // pure within a tick.
 func (s *Store) DeltaSince(base uint64, filter func(protocol.ParticipantID) bool) *protocol.Delta {
 	msg := &protocol.Delta{}
-	s.DeltaSinceInto(base, filter, msg)
+	s.DeltaSinceCands(base, filter, msg, nil)
 	return msg
 }
 
-// DeltaSinceInto is DeltaSince building into msg, reusing its
-// Changed/Removed capacity; the replicator threads per-peer scratch messages
-// through it so steady-state delta planning allocates nothing.
+// DeltaSinceCands is DeltaSince building into msg, reusing its
+// Changed/Removed capacity, with a caller-owned candidate buffer for the
+// dirty-ring walk, returned (possibly grown) for reuse. The replicator
+// threads per-peer scratch messages and per-worker buffers through it, so
+// steady-state delta planning allocates nothing.
 //
 // When the ack horizon lies inside the dirty ring the candidate set is the
 // ring's changed-ID union — O(changed in window) — instead of a scan of the
 // whole population; older baselines fall back to the full scan.
-func (s *Store) DeltaSinceInto(base uint64, filter func(protocol.ParticipantID) bool, msg *protocol.Delta) {
-	s.candScratch = s.DeltaSinceCands(base, filter, msg, s.candScratch)
-}
-
-// DeltaSinceCands is DeltaSinceInto with a caller-owned candidate buffer for
-// the dirty-ring walk, returned (possibly grown) for reuse. It exists for
-// concurrent delta builds — the parallel tick hands each worker its own
-// buffer — and is safe to call from multiple goroutines at once provided the
-// store is not mutated for the duration and the sorted-ID cache has been
+//
+// It is safe to call from multiple goroutines at once provided the store is
+// not mutated for the duration and the sorted-ID cache has been
 // materialized by the owner first (any Snapshot/Range/IDs call does; the
 // replicator warms it before fanning builds out).
 func (s *Store) DeltaSinceCands(base uint64, filter func(protocol.ParticipantID) bool, msg *protocol.Delta, buf []protocol.ParticipantID) []protocol.ParticipantID {
@@ -291,12 +286,6 @@ func (s *Store) DeltaSinceCands(base uint64, filter func(protocol.ParticipantID)
 		msg.Removed = append(msg.Removed, rm.id)
 	}
 	return buf
-}
-
-// DeltaSinceOwedInto is DeltaSinceOwedCands using the store-owned candidate
-// buffer (the serial plan path).
-func (s *Store) DeltaSinceOwedInto(base uint64, filter func(protocol.ParticipantID) bool, msg *protocol.Delta, owed *OwedSet, ackTick, settle uint64) {
-	s.candScratch = s.DeltaSinceOwedCands(base, filter, msg, s.candScratch, owed, ackTick, settle)
 }
 
 // DeltaSinceOwedCands builds an interest-filtered delta with owed-change

@@ -67,7 +67,8 @@ type Config struct {
 	Interest *interest.Policy
 	// Fusion tunes per-participant sensor fusion.
 	Fusion fusion.Config
-	// Parallelism bounds the tick worker pool (see node.Config.Parallelism).
+	// Parallelism bounds the tick worker pool; 1 runs the same tick inline
+	// (see node.Config.Parallelism).
 	Parallelism int
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"metaclass/internal/cloud"
+	"metaclass/internal/core"
 	"metaclass/internal/netsim"
 	"metaclass/internal/protocol"
 	"metaclass/internal/region"
@@ -57,14 +58,25 @@ func newGeoParityPass(t *testing.T, sim *vclock.Sim, fab Fabric) *geoParityPass 
 
 // counts snapshots the lock-step progress markers: the cloud's decoded
 // message count, every relay's forwarded-pose count plus upstream-replica
-// apply count, and every client's applied-update count.
+// apply count, every client's applied-update count, and the ack floor of
+// every replication peer on the cloud and the relays. Acks are counted
+// nowhere else, and an ack still in a TCP socket when the round ends would
+// leave a stale floor for the next tick's plan.
 func (p *geoParityPass) counts() map[string]uint64 {
 	out := map[string]uint64{
 		"cloud": p.d.Cloud().Metrics().Counter("sync.msgs.recv").Value(),
 	}
+	ackFloors := func(node string, repl *core.Replicator) {
+		for _, peer := range repl.Peers() {
+			st, _ := repl.StatsOf(peer)
+			out[node+"-ack-"+peer] = st.AckTick
+		}
+	}
+	ackFloors("cloud", p.d.Cloud().Runtime().Replicator())
 	for rr, rel := range p.everRelays {
 		out["relay-"+string(rr)+"-fwd"] = rel.Metrics().Counter("forwarded.up").Value()
 		out["relay-"+string(rr)+"-apply"] = rel.Metrics().Histogram("upstream.pose.age").Count()
+		ackFloors("relay-"+string(rr), rel.Runtime().Replicator())
 	}
 	for _, id := range p.d.SessionIDs() {
 		s, _ := p.d.Session(id)

@@ -126,7 +126,7 @@ func (h *host) bind(hd Handler) {
 
 // delivery is the in-flight state of one Send, recycled through the
 // network's freelist so steady-state traffic allocates neither a closure nor
-// a timer event per message (it rides vclock's pooled AfterCall path).
+// a timer event per message (it rides vclock's pooled AfterCallEvent path).
 type delivery struct {
 	n       *Network
 	l       *link

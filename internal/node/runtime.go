@@ -57,11 +57,11 @@ type Config struct {
 	// Parallelism bounds the worker pool that shards the tick's three
 	// independent stages — per-client interest classification, the
 	// replicator's plan builds, and the fan-out's cohort encodes. Zero or
-	// negative means GOMAXPROCS; 1 runs the exact single-threaded legacy
-	// path. The node's external contract is unchanged at every width: the
-	// pool only runs inside the tick callback, Run is synchronous, and every
-	// stage merges deterministically, so plans, wire bytes, and metrics are
-	// identical to Parallelism=1.
+	// negative means GOMAXPROCS; 1 runs the same stages with every job
+	// inline on the tick goroutine. The node's external contract is
+	// unchanged at every width: the pool only runs inside the tick callback,
+	// Run is synchronous, and every stage merges deterministically, so plans,
+	// wire bytes, and metrics are identical to Parallelism=1.
 	Parallelism int
 }
 
@@ -527,13 +527,13 @@ func (r *Runtime) tick() {
 }
 
 // refreshInterest pre-refreshes every replicated client's interest set for
-// the tick across the pool's workers, so the plan's filter calls answer
-// from cache. Each refresh touches only its own set (plus the read-only
-// grid and policy), and Refresh is idempotent per tick, so this stage is
-// purely a parallel warm-up: skipping it (serial pools, broadcast mode,
-// too few clients) changes nothing but where the classification work runs.
+// the tick across the pool's workers (inline on a 1-worker pool), so the
+// plan's filter calls answer from cache. Each refresh touches only its own
+// set (plus the read-only grid and policy), and Refresh is idempotent per
+// tick, so this stage changes nothing but where the classification work
+// runs. Broadcast mode (no Interest policy) has no sets to refresh.
 func (r *Runtime) refreshInterest() {
-	if !r.pool.Parallel() || r.cfg.Interest == nil || len(r.clients) < 2 {
+	if r.cfg.Interest == nil {
 		return
 	}
 	r.refreshScratch = r.refreshScratch[:0]

@@ -29,9 +29,10 @@ var ErrStopped = errors.New("vclock: simulation stopped")
 //
 // Events come in two flavors: handle events (returned by At/After, never
 // recycled, cancellable via Cancel) and pooled events (scheduled by
-// AtCall/AfterCall/Ticker, recycled through the simulator's freelist after
-// firing). Pooled events never escape to callers, so a recycled Event can
-// only ever be reached through the generation-checked internal cancel path.
+// AfterCallEvent/Ticker, recycled through the simulator's freelist after
+// firing or cancellation). A pooled event reaches callers only paired with
+// its generation, so a recycled Event can only ever be reached through the
+// generation-checked cancel path (CancelCall).
 type Event struct {
 	due time.Duration
 	seq uint64 // insertion order, tie-break for equal due times
@@ -156,31 +157,16 @@ func (s *Sim) After(delay time.Duration, fn func()) *Event {
 	return s.At(s.now+delay, fn)
 }
 
-// AtCall schedules fn(arg) at absolute virtual time due on a pooled timer
-// event: after firing, the event is recycled, so steady-state callers
-// allocate nothing here. No handle is returned — pooled events cannot be
-// cancelled by callers. Passing state through arg (a pointer boxes
+// AfterCallEvent schedules fn(arg) delay after the current virtual time on
+// a pooled timer event: after firing, the event is recycled, so steady-state
+// callers allocate nothing here. Passing state through arg (a pointer boxes
 // allocation-free) instead of capturing it keeps the callback itself
-// closure-free too.
-func (s *Sim) AtCall(due time.Duration, fn func(any), arg any) {
-	s.schedule(due, nil, fn, arg, true)
-}
-
-// AfterCall schedules fn(arg) delay after the current virtual time on a
-// pooled timer event (see AtCall).
-func (s *Sim) AfterCall(delay time.Duration, fn func(any), arg any) {
-	if delay < 0 {
-		delay = 0
-	}
-	s.AtCall(s.now+delay, fn, arg)
-}
-
-// AfterCallEvent schedules fn(arg) like AfterCall but returns the pooled
-// event together with its generation, so the caller can CancelCall it before
-// it fires (the network simulator cancels in-flight deliveries to removed
-// hosts this way). The handle is only meaningful paired with the returned
-// generation: once the event fires or is cancelled it recycles, and a stale
-// (event, gen) pair is silently ignored by CancelCall.
+// closure-free too. It returns the pooled event together with its
+// generation, so the caller can CancelCall it before it fires (the network
+// simulator cancels in-flight deliveries to removed hosts this way). The
+// handle is only meaningful paired with the returned generation: once the
+// event fires or is cancelled it recycles, and a stale (event, gen) pair is
+// silently ignored by CancelCall.
 func (s *Sim) AfterCallEvent(delay time.Duration, fn func(any), arg any) (*Event, uint64) {
 	if delay < 0 {
 		delay = 0

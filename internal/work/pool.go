@@ -28,7 +28,7 @@ import (
 // Pool is a bounded worker pool executing parallel-for loops. The zero-cost
 // path matters as much as the parallel one: a nil Pool, a 1-worker Pool, and
 // a single-element Run all execute inline on the caller's goroutine with no
-// synchronization at all — the exact single-threaded legacy path.
+// synchronization at all, so callers run one code path at every width.
 //
 // A Pool is owned by one goroutine: Run and Close must not be called
 // concurrently (the node runtime calls both from the simulation goroutine).
@@ -70,11 +70,6 @@ func (p *Pool) Workers() int {
 	}
 	return p.workers
 }
-
-// Parallel reports whether Run may execute jobs on more than one goroutine —
-// the gate callers use to pick between the legacy inline path and the
-// sharded one.
-func (p *Pool) Parallel() bool { return p != nil && p.workers > 1 }
 
 // Run executes fn(worker, i) for every i in [0, n), distributing indices
 // across up to Workers goroutines, and returns when all calls have finished.
