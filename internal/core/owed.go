@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -26,25 +27,36 @@ import (
 //     parallel tick may build many peers' messages concurrently, but never
 //     two builds for the same peer — so builds mutate their own OwedSet
 //     without synchronization.
-//   - Builds iterate owed IDs in ascending order (sortedIDs into the
-//     set-owned scratch), merged with the ascending delta candidates, so
-//     message bytes are identical across runs and worker counts.
-//   - The entry value is the tick of the newest planned message that
+//   - Each entry's last is the tick of the newest planned message that
 //     included the entity (0 = none since it became owed). AckDrop removes
 //     entries only on an exact tick match: an ack for tick T proves receipt
 //     of the tick-T message, while an ack for a later tick proves nothing
 //     about T (the T message may have been lost on the way).
 //
-// keys mirrors the map's key set in ascending order, maintained
-// incrementally on insert/delete (a binary-search memmove on the handful of
-// entries that change per tick) so the per-tick sweep never pays a map
-// iteration or a sort.
+// Representation: entries is one slice ascending by ID. The store's delta
+// and snapshot walks (Store.DeltaSinceOwedCands, Store.SnapshotOwedInto)
+// merge it with their ascending candidate or live IDs and write the updated
+// entries, still ascending, into the swap buffer next, which then becomes
+// entries. Every per-entity change during a walk is an O(1) append at the
+// cursor, and the walk order is the ID order, so message bytes are
+// identical across runs and worker counts. Off-walk updates (AckDrop, mark)
+// binary-search the slice.
 type OwedSet struct {
-	pending map[protocol.ParticipantID]uint64
-	keys    []protocol.ParticipantID
-	iter    []protocol.ParticipantID
+	entries []owedEntry
+	next    []owedEntry
 	sent    []sentRec
 }
+
+// owedEntry is one owed entity and the tick of the newest planned message
+// that carried it (0 = none since it became owed).
+type owedEntry struct {
+	id   protocol.ParticipantID
+	last uint64
+}
+
+// settled marks an entry AckDrop has settled, pending the compaction that
+// removes it. No plan tick reaches it.
+const settled = ^uint64(0)
 
 // sentRec is one owed entity carried by the message planned at tick,
 // awaiting that tick's exact ack. Plan ticks are monotonic, so the list is
@@ -61,9 +73,8 @@ type sentRec struct {
 // doubling ramp.
 func NewOwedSet() *OwedSet {
 	return &OwedSet{
-		pending: make(map[protocol.ParticipantID]uint64, 16),
-		keys:    make([]protocol.ParticipantID, 0, 16),
-		iter:    make([]protocol.ParticipantID, 0, 16),
+		entries: make([]owedEntry, 0, 16),
+		next:    make([]owedEntry, 0, 16),
 		sent:    make([]sentRec, 0, 16),
 	}
 }
@@ -73,7 +84,7 @@ func (o *OwedSet) Len() int {
 	if o == nil {
 		return 0
 	}
-	return len(o.pending)
+	return len(o.entries)
 }
 
 // Owes reports whether id is currently owed to the peer.
@@ -81,118 +92,86 @@ func (o *OwedSet) Owes(id protocol.ParticipantID) bool {
 	if o == nil {
 		return false
 	}
-	_, ok := o.pending[id]
+	_, ok := o.find(id)
 	return ok
 }
 
+// find binary-searches entries for id.
+func (o *OwedSet) find(id protocol.ParticipantID) (int, bool) {
+	return slices.BinarySearchFunc(o.entries, id, func(e owedEntry, id protocol.ParticipantID) int {
+		return cmp.Compare(e.id, id)
+	})
+}
+
+// appendIDs appends the owed IDs, ascending, to dst.
+func (o *OwedSet) appendIDs(dst []protocol.ParticipantID) []protocol.ParticipantID {
+	for _, e := range o.entries {
+		dst = append(dst, e.id)
+	}
+	return dst
+}
+
 // Reset clears the set for reuse by another peer (peer state is pooled
-// across join/leave churn). The map and key slice keep their capacity.
+// across join/leave churn). The slices keep their capacity.
 func (o *OwedSet) Reset() {
-	clear(o.pending)
-	o.keys = o.keys[:0]
+	o.entries = o.entries[:0]
 	o.sent = o.sent[:0]
 }
 
-// insertKey splices id into the sorted key mirror (no-op if present).
-func (o *OwedSet) insertKey(id protocol.ParticipantID) {
-	if i, found := slices.BinarySearch(o.keys, id); !found {
-		o.keys = slices.Insert(o.keys, i, id)
+// mark unconditionally (re)opens id's debt. Keyframes use this instead of
+// the walk's owe rule: a snapshot replaces the receiver's whole world, so an
+// omitted entity is erased there no matter what earlier message carried it —
+// the ack of that earlier message must no longer settle the entry. Handoff
+// imports use it too.
+func (o *OwedSet) mark(id protocol.ParticipantID) {
+	if i, ok := o.find(id); ok {
+		o.entries[i].last = 0
+	} else {
+		o.entries = slices.Insert(o.entries, i, owedEntry{id: id})
 	}
 }
 
-// removeKey splices id out of the sorted key mirror (no-op if absent).
-func (o *OwedSet) removeKey(id protocol.ParticipantID) {
-	if i, found := slices.BinarySearch(o.keys, id); found {
-		o.keys = slices.Delete(o.keys, i, i+1)
-	}
+// beginWalk returns the current entries for a merge walk and the emptied
+// swap buffer the walk writes the updated entries into.
+func (o *OwedSet) beginWalk() (cur, next []owedEntry) {
+	return o.entries, o.next[:0]
 }
 
-// owe records that the peer's filter suppressed id, whose latest change is
-// changedTick. Only a change strictly newer than the entry's last-included
-// tick is a new debt — a planned message at that tick already carried state
-// at least this fresh, so its ack may still settle the entry. The guard
-// matters because delta candidacy is measured against the peer's ack
-// baseline, which lags the send by a round trip: for a tick or two after an
-// entity's phase-tick send, the candidate walk re-surfaces the very change
-// that send carried, and unconditionally resetting the entry to zero would
-// make the owed sweep resend state the peer already holds on every tick
-// without fresh changes.
-func (o *OwedSet) owe(id protocol.ParticipantID, changedTick uint64) {
-	last, ok := o.pending[id]
-	if ok && (last == 0 || changedTick <= last) {
-		// Already owed-unsent, or the planned message at last covers this
-		// change. The first case is the hot one — a suppressed entity is a
-		// candidate on every tick until the ack floor passes its change, and
-		// skipping the redundant map write here keeps that loop read-only.
+// endWalk installs the walk's output as the live entries and, once the send
+// log has piled up stale records (a peer that stopped acking: each re-send
+// supersedes the previous one), compacts it to the records that still match
+// their entry's newest planned tick. A stale record can never match again —
+// its entry's last only moves forward to later plan ticks or back to 0 —
+// so dropping it after the walk changes nothing an ack could observe.
+func (o *OwedSet) endWalk(cur, next []owedEntry) {
+	o.entries, o.next = next, cur
+	if n := len(o.sent); n < 256 || n < 4*len(o.entries) {
 		return
 	}
-	o.pending[id] = 0
-	if !ok {
-		o.insertKey(id)
-	}
-}
-
-// oweNew is owe for an id the caller knows is not yet tracked (the merge
-// walk's not-owed branch): insert straight away, no existence probe.
-func (o *OwedSet) oweNew(id protocol.ParticipantID) {
-	o.pending[id] = 0
-	o.insertKey(id)
-}
-
-// mark unconditionally (re)opens id's debt. Keyframes use this instead of
-// owe: a snapshot replaces the receiver's whole world, so an omitted entity
-// is erased there no matter what earlier message carried it — the ack of
-// that earlier message must no longer settle the entry.
-func (o *OwedSet) mark(id protocol.ParticipantID) {
-	if _, ok := o.pending[id]; !ok {
-		o.insertKey(id)
-	}
-	o.pending[id] = 0
-}
-
-// markSent records that the message planned at tick carries id's current
-// state. Only existing entries are updated — an admitted entity that was
-// never owed needs no tracking (a lost delta leaves the ack floor in place,
-// so the ordinary candidate walk re-includes it).
-func (o *OwedSet) markSent(id protocol.ParticipantID, tick uint64) {
-	if _, ok := o.pending[id]; ok {
-		o.pending[id] = tick
-		if n := len(o.sent); n >= 256 && n >= 4*len(o.pending) {
-			// A peer that stopped acking accumulates stale records (each
-			// re-send supersedes the previous one). Compact to the records
-			// that still match their entry's newest planned tick.
-			w := 0
-			for _, rec := range o.sent {
-				if o.pending[rec.id] == rec.tick {
-					o.sent[w] = rec
-					w++
-				}
-			}
-			o.sent = o.sent[:w]
+	w := 0
+	for _, rec := range o.sent {
+		if i, ok := o.find(rec.id); ok && o.entries[i].last == rec.tick {
+			o.sent[w] = rec
+			w++
 		}
-		o.sent = append(o.sent, sentRec{id: id, tick: tick})
 	}
+	o.sent = o.sent[:w]
 }
 
-// lastSent returns the tick of the newest planned message that included id
-// (0 if none since it became owed).
-func (o *OwedSet) lastSent(id protocol.ParticipantID) uint64 {
-	return o.pending[id]
-}
-
-// drop forgets id (it died; the unfiltered removal log or the replacing
-// snapshot tells the peer).
-func (o *OwedSet) drop(id protocol.ParticipantID) {
-	if _, ok := o.pending[id]; ok {
-		delete(o.pending, id)
-		o.removeKey(id)
-	}
+// sentAt records that the message planned at tick carries e's current state
+// and returns the updated entry. Only owed entries are tracked — an admitted
+// entity that was never owed needs no tracking (a lost delta leaves the ack
+// floor in place, so the ordinary candidate walk re-includes it).
+func (o *OwedSet) sentAt(e owedEntry, tick uint64) owedEntry {
+	e.last = tick
+	o.sent = append(o.sent, sentRec{id: e.id, tick: tick})
+	return e
 }
 
 // AckDrop settles every owed entry whose last-included tick exactly matches
 // the acknowledged tick: the peer provably received that message and with it
 // the entity's then-current state. Any newer change would have re-marked the
-// entry (value 0) or been re-included at a later tick, so an exact match
+// entry (last 0) or been re-included at a later tick, so an exact match
 // means the peer is up to date. Regressed or duplicate acks are fine —
 // receipt is receipt regardless of arrival order.
 func (o *OwedSet) AckDrop(tick uint64) {
@@ -201,28 +180,24 @@ func (o *OwedSet) AckDrop(tick uint64) {
 	}
 	lo := sort.Search(len(o.sent), func(i int) bool { return o.sent[i].tick >= tick })
 	hi := lo
+	dropped := false
 	for hi < len(o.sent) && o.sent[hi].tick == tick {
 		rec := o.sent[hi]
 		hi++
-		if o.pending[rec.id] == tick {
-			delete(o.pending, rec.id)
-			o.removeKey(rec.id)
+		if i, ok := o.find(rec.id); ok && o.entries[i].last == tick {
+			o.entries[i].last = settled
+			dropped = true
 		}
 		// A mismatched record is stale: a newer change re-marked the entry
-		// (value 0) or a later message re-carried it (value > tick), and in
+		// (last 0) or a later message re-carried it (last > tick), and in
 		// either case this ack settles nothing.
+	}
+	if dropped {
+		o.entries = slices.DeleteFunc(o.entries, func(e owedEntry) bool { return e.last == settled })
 	}
 	// Drop every record at or below the ack floor. A regressed ack for an
 	// already-pruned tick then settles nothing — harmless: the entry stays
 	// owed and the retransmit gate re-includes it, which is only redundant
 	// traffic, never a wrong settle.
 	o.sent = o.sent[:copy(o.sent, o.sent[hi:])]
-}
-
-// sortedIDs returns the owed IDs ascending, copied into the set-owned
-// iteration scratch so the caller may walk it while owe/markSent/drop
-// mutate the live key mirror underneath. Valid until the next call.
-func (o *OwedSet) sortedIDs() []protocol.ParticipantID {
-	o.iter = append(o.iter[:0], o.keys...)
-	return o.iter
 }

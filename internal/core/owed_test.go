@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"metaclass/internal/protocol"
@@ -346,6 +347,40 @@ func TestFilteredSnapshotOwesOmitted(t *testing.T) {
 	}
 	if st, _ := repl.StatsOf("recv"); st.Owed != 0 {
 		t.Errorf("owed = %d after delivery+ack, want 0", st.Owed)
+	}
+}
+
+// TestSnapshotForgetsDeadOwedEntries pins that a filtered snapshot forgets
+// the debts of entities that died: after it, the exported owed list (what a
+// handoff carries) and every later walk see only live owed entities.
+func TestSnapshotForgetsDeadOwedEntries(t *testing.T) {
+	store := NewStore()
+	repl := NewReplicator(store, ReplConfig{})
+	filter := func(id protocol.ParticipantID, _ uint64) bool { return id == 1 }
+	if err := repl.AddPeer("recv", filter); err != nil {
+		t.Fatal(err)
+	}
+	store.BeginTick()
+	for id := protocol.ParticipantID(1); id <= 3; id++ {
+		store.Upsert(protocol.EntityState{Participant: id})
+	}
+	repl.PlanTick() // never acked: filtered snapshot, owes the omitted 2 and 3
+	if b, _ := repl.ExportBaseline("recv"); !slices.Equal(b.Owed, []protocol.ParticipantID{2, 3}) {
+		t.Fatalf("owed after first snapshot = %v, want [2 3]", b.Owed)
+	}
+
+	store.BeginTick()
+	store.Remove(2)
+	repl.PlanTick() // still unacked: another snapshot, which conveys 2's absence
+	b, err := repl.ExportBaseline("recv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(b.Owed, []protocol.ParticipantID{3}) {
+		t.Errorf("exported owed = %v after the dead entity's snapshot, want [3]", b.Owed)
+	}
+	if st, _ := repl.StatsOf("recv"); st.Owed != 1 {
+		t.Errorf("owed = %d, want 1", st.Owed)
 	}
 }
 

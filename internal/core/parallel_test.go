@@ -241,3 +241,69 @@ func TestEncodePlanFramesMatchEncode(t *testing.T) {
 		t.Fatalf("%d frames leaked", live-live0)
 	}
 }
+
+// TestPlanTickFilteredSteadyStateAllocatesNothing pins the filtered plan's
+// steady state at zero allocations per tick, inline and on a 2-worker pool:
+// decimated filtered peers whose owed sets churn (rejected changes owed,
+// phase-tick sends, exact acks settling them, lost acks lagging the base so
+// several candidate lists coexist), next to an unfiltered cohort peer.
+func TestPlanTickFilteredSteadyStateAllocatesNothing(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		name := fmt.Sprintf("workers=%d", workers)
+		if workers == 0 {
+			name = "pool=nil"
+		}
+		t.Run(name, func(t *testing.T) {
+			var cfg ReplConfig
+			if workers > 0 {
+				cfg.Pool = work.New(workers)
+				defer cfg.Pool.Close()
+			}
+			store := NewStore()
+			repl := NewReplicator(store, cfg)
+			filter := decimationFilter(func(id protocol.ParticipantID) uint64 {
+				return [4]uint64{1, 2, 4, 8}[id%4]
+			})
+			const entities = 64
+			var peers []string
+			for i := 0; i < 8; i++ {
+				peers = append(peers, fmt.Sprintf("vr-%d", i))
+				if err := repl.AddPeer(peers[i], filter); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := repl.AddPeer("relay", nil); err != nil {
+				t.Fatal(err)
+			}
+			peers = append(peers, "relay")
+			owedSeen := 0
+			step := func() {
+				tick := store.BeginTick()
+				for id := protocol.ParticipantID(0); id < entities; id++ {
+					if (tick+uint64(id))%3 == 0 {
+						store.Upsert(protocol.EntityState{Participant: id, Seat: uint16(tick)})
+					}
+				}
+				repl.PlanTick()
+				for i, p := range peers {
+					if (tick+uint64(i))%4 != 0 { // every fourth ack is lost
+						if err := repl.Ack(p, tick); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				st, _ := repl.StatsOf(peers[0])
+				owedSeen = max(owedSeen, st.Owed)
+			}
+			for i := 0; i < 300; i++ {
+				step()
+			}
+			if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+				t.Errorf("steady-state filtered tick allocates %.1f times, want 0", allocs)
+			}
+			if owedSeen == 0 {
+				t.Fatal("owed sets never churned: the gate measures nothing")
+			}
+		})
+	}
+}

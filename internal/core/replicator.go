@@ -253,22 +253,25 @@ type Replicator struct {
 
 	// Plan-pass scratch (see PlanTick): the distinct builds of the tick in
 	// first-encounter order, the hoisted job runner (built once so Run
-	// allocates nothing), and one dirty-ring candidate buffer per pool
-	// worker.
-	jobs        []planJob
-	runJob      func(worker, i int)
-	workerCands [][]protocol.ParticipantID
+	// allocates nothing), and the tick's delta candidate lists — one per
+	// distinct ack base, indexed by candsOf and recycled tick to tick.
+	jobs     []planJob
+	runJob   func(worker, i int)
+	candsOf  map[uint64]int
+	candBufs [][]protocol.ParticipantID
 }
 
 // planJob is one independent build of a PlanTick: a shared snapshot, a
 // filtered peer's snapshot or delta, or a distinct ack-cohort delta. Each
-// job writes only its own target message (plus the per-worker candidate
-// buffer), so jobs are safe to execute concurrently.
+// job writes only its own target message (and a filtered peer's own owed
+// set) and only reads its shared candidate list, so jobs are safe to
+// execute concurrently.
 type planJob struct {
 	kind  jobKind
-	peer  *peerState      // jobPeerSnap, jobPeerDelta
-	base  uint64          // jobCohortDelta: the cohort's ack baseline
-	delta *protocol.Delta // jobCohortDelta: the cohort's scratch message
+	peer  *peerState               // jobPeerSnap, jobPeerDelta
+	base  uint64                   // jobCohortDelta: the cohort's ack baseline
+	delta *protocol.Delta          // jobCohortDelta: the cohort's scratch message
+	cands []protocol.ParticipantID // jobPeerDelta, jobCohortDelta: changed since the base
 }
 
 type jobKind uint8
@@ -288,7 +291,7 @@ func NewReplicator(store *Store, cfg ReplConfig) *Replicator {
 		cfg:          cfg,
 		peers:        make(map[string]*peerState),
 		deltaCohorts: make(map[uint64]deltaCohort),
-		workerCands:  make([][]protocol.ParticipantID, cfg.Pool.Workers()),
+		candsOf:      make(map[uint64]int),
 	}
 	r.runJob = r.execJob
 	return r
@@ -458,7 +461,7 @@ func (r *Replicator) ExportBaseline(peer string) (PeerBaseline, error) {
 	}
 	b := PeerBaseline{AckTick: p.ackTick, Acked: p.acked}
 	if p.owed != nil && p.owed.Len() > 0 {
-		b.Owed = append([]protocol.ParticipantID(nil), p.owed.sortedIDs()...)
+		b.Owed = p.owed.appendIDs(nil)
 	}
 	return b, nil
 }
@@ -554,11 +557,14 @@ type PeerMessage struct {
 //	1 (owner)  walk sorted peers, decide snapshot-vs-delta, and collect the
 //	           distinct builds — the shared snapshot, each filtered peer's
 //	           snapshot or delta, and one delta per distinct ack baseline —
-//	           as jobs.
+//	           as jobs. Build the changed-since candidate list once per
+//	           distinct ack base among the delta jobs; every delta job at
+//	           that base shares it.
 //	2 (pool)   execute the jobs via ReplConfig.Pool (inline as worker 0 on a
 //	           nil or 1-worker pool). Each job writes only its own target
-//	           message plus a per-worker candidate buffer; the store is
-//	           read-only and its lazy sorted-ID cache is warmed first.
+//	           message (and its peer's owed set) and reads the shared
+//	           candidates; the store is read-only and its lazy sorted-ID
+//	           cache is warmed first.
 //	3 (owner)  re-walk sorted peers, re-deriving the same decisions (nothing
 //	           they depend on moved in pass 2), assigning cohort IDs in
 //	           first-use order and bumping the per-peer counters.
@@ -574,6 +580,7 @@ func (r *Replicator) PlanTick() []PeerMessage {
 	// Pass 1: collect the distinct builds.
 	jobs := r.jobs[:0]
 	clear(r.deltaCohorts)
+	clear(r.candsOf)
 	cohortJobs := 0
 	sharedSnapQueued := false
 	for _, id := range r.sortedPeerIDs() {
@@ -597,14 +604,14 @@ func (r *Replicator) PlanTick() []PeerMessage {
 			if p.scratch == nil {
 				p.scratch = &protocol.Delta{}
 			}
-			jobs = append(jobs, planJob{kind: jobPeerDelta, peer: p})
+			jobs = append(jobs, planJob{kind: jobPeerDelta, peer: p, cands: r.candsFor(p.ackTick)})
 			continue
 		}
 		if _, ok := r.deltaCohorts[p.ackTick]; !ok {
 			slot := r.cohortSlot(cohortJobs)
 			cohortJobs++
 			r.deltaCohorts[p.ackTick] = deltaCohort{msg: slot, cohort: cohortUnnumbered}
-			jobs = append(jobs, planJob{kind: jobCohortDelta, base: p.ackTick, delta: slot})
+			jobs = append(jobs, planJob{kind: jobCohortDelta, base: p.ackTick, delta: slot, cands: r.candsFor(p.ackTick)})
 		}
 	}
 	r.jobs = jobs
@@ -706,10 +713,25 @@ const (
 	cohortEmpty      = -2
 )
 
-// execJob runs one plan build. Jobs write only their own target
-// message and the executing worker's candidate buffer, honoring the pool's
-// ownership rules (see package work).
-func (r *Replicator) execJob(worker, i int) {
+// candsFor returns the tick's shared candidate list for ack base, building
+// it into a recycled buffer on first use.
+func (r *Replicator) candsFor(base uint64) []protocol.ParticipantID {
+	if i, ok := r.candsOf[base]; ok {
+		return r.candBufs[i]
+	}
+	i := len(r.candsOf)
+	if i == len(r.candBufs) {
+		r.candBufs = append(r.candBufs, nil)
+	}
+	r.candBufs[i] = r.store.candidatesSince(base, r.candBufs[i])
+	r.candsOf[base] = i
+	return r.candBufs[i]
+}
+
+// execJob runs one plan build. Jobs write only their own target message
+// (and a filtered peer's own owed set), honoring the pool's ownership rules
+// (see package work).
+func (r *Replicator) execJob(_, i int) {
 	j := &r.jobs[i]
 	switch j.kind {
 	case jobSharedSnap:
@@ -718,9 +740,9 @@ func (r *Replicator) execJob(worker, i int) {
 		r.store.SnapshotOwedInto(j.peer.boundFilter, j.peer.snapScratch, j.peer.owed)
 	case jobPeerDelta:
 		p := j.peer
-		r.workerCands[worker] = r.store.DeltaSinceOwedCands(p.ackTick, p.boundFilter, p.scratch, r.workerCands[worker], p.owed, p.ackTick, r.cfg.OwedSettleTicks)
+		r.store.deltaOwedFrom(p.ackTick, j.cands, p.boundFilter, p.scratch, p.owed, p.ackTick, r.cfg.OwedSettleTicks)
 	case jobCohortDelta:
-		r.workerCands[worker] = r.store.DeltaSinceCands(j.base, nil, j.delta, r.workerCands[worker])
+		r.store.deltaFrom(j.base, j.cands, nil, j.delta)
 	}
 }
 

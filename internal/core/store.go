@@ -247,9 +247,8 @@ func (s *Store) DeltaSince(base uint64, filter func(protocol.ParticipantID) bool
 
 // DeltaSinceCands is DeltaSince building into msg, reusing its
 // Changed/Removed capacity, with a caller-owned candidate buffer for the
-// dirty-ring walk, returned (possibly grown) for reuse. The replicator
-// threads per-peer scratch messages and per-worker buffers through it, so
-// steady-state delta planning allocates nothing.
+// dirty-ring walk, returned (possibly grown) for reuse, so steady-state
+// delta building allocates nothing.
 //
 // When the ack horizon lies inside the dirty ring the candidate set is the
 // ring's changed-ID union — O(changed in window) — instead of a scan of the
@@ -260,37 +259,44 @@ func (s *Store) DeltaSince(base uint64, filter func(protocol.ParticipantID) bool
 // materialized by the owner first (any Snapshot/Range/IDs call does; the
 // replicator warms it before fanning builds out).
 func (s *Store) DeltaSinceCands(base uint64, filter func(protocol.ParticipantID) bool, msg *protocol.Delta, buf []protocol.ParticipantID) []protocol.ParticipantID {
+	buf = s.candidatesSince(base, buf)
+	s.deltaFrom(base, buf, filter, msg)
+	return buf
+}
+
+// deltaFrom is DeltaSinceCands over a prebuilt candidate list: cands must be
+// candidatesSince(base) at the current tick. cands is only read, so any
+// number of builds may share one list concurrently.
+func (s *Store) deltaFrom(base uint64, cands []protocol.ParticipantID, filter func(protocol.ParticipantID) bool, msg *protocol.Delta) {
 	msg.BaseTick, msg.Tick = base, s.tick
 	msg.Changed = msg.Changed[:0]
-	msg.Removed = msg.Removed[:0]
-
-	if cands, ok := s.changedSince(base, buf); ok {
-		buf = cands
-		for _, id := range cands {
-			if filter == nil || filter(id) {
-				msg.Changed = append(msg.Changed, s.entities[id].state)
-			}
-		}
-	} else {
-		for _, id := range s.sortedIDs() {
-			r := s.entities[id]
-			if r.changedTick > base && (filter == nil || filter(id)) {
-				msg.Changed = append(msg.Changed, r.state)
-			}
+	for _, id := range cands {
+		if filter == nil || filter(id) {
+			msg.Changed = append(msg.Changed, s.entities[id].state)
 		}
 	}
-	// removals is ascending by tick: binary-search the first entry newer
-	// than base instead of scanning the whole log.
+	s.appendRemovals(base, msg)
+}
+
+// appendRemovals fills msg.Removed with the removal log after base. Removals
+// are never filtered: every peer must learn about departures. The log is
+// ascending by tick, so a binary search finds the first entry newer than
+// base instead of a scan of the whole log.
+func (s *Store) appendRemovals(base uint64, msg *protocol.Delta) {
+	msg.Removed = msg.Removed[:0]
 	first := sort.Search(len(s.removals), func(i int) bool { return s.removals[i].tick > base })
 	for _, rm := range s.removals[first:] {
 		msg.Removed = append(msg.Removed, rm.id)
 	}
-	return buf
 }
 
 // DeltaSinceOwedCands builds an interest-filtered delta with owed-change
 // tracking: the decimation-safe variant of DeltaSinceCands for filtered
-// peers. filter and owed must be non-nil. Beyond the plain filtered build it
+// peers. filter and owed must be non-nil. buf is the caller's candidate
+// buffer, returned (possibly grown) for reuse. It is the standalone form of
+// the walk: the replicator builds each distinct ack base's candidates once
+// per tick (candidatesSince) and runs every filtered peer's walk over the
+// shared list (deltaOwedFrom). Beyond the plain filtered build the walk
 //
 //   - marks a candidate the filter rejects as owed when its change is newer
 //     than the last planned message that carried it (the peer's ack can pass
@@ -309,78 +315,75 @@ func (s *Store) DeltaSinceCands(base uint64, filter func(protocol.ParticipantID)
 //     exact ack for L arriving (the tick-L message is then presumed lost).
 //     ackTick is that floor — for real peers it equals base.
 //
-// Candidates and owed IDs are merge-walked in ascending order (each entity
-// visited once, filter invoked once per entity), keeping Changed ascending
+// Candidates and the owed set's ascending entries are merge-walked (each
+// entity visited once, filter invoked once per entity), and the walk writes
+// the updated owed entries in the same order, so Changed stays ascending
 // and byte-identical across runs and worker counts. Removals are never
 // filtered and never owed: the log reaches every peer. Owed entities that
 // died are forgotten during the sweep for the same reason.
 func (s *Store) DeltaSinceOwedCands(base uint64, filter func(protocol.ParticipantID) bool, msg *protocol.Delta, buf []protocol.ParticipantID, owed *OwedSet, ackTick, settle uint64) []protocol.ParticipantID {
+	buf = s.candidatesSince(base, buf)
+	s.deltaOwedFrom(base, buf, filter, msg, owed, ackTick, settle)
+	return buf
+}
+
+// deltaOwedFrom is DeltaSinceOwedCands over a prebuilt candidate list: cands
+// must be candidatesSince(base) at the current tick. cands is only read, so
+// any number of peers' walks may share one list concurrently.
+func (s *Store) deltaOwedFrom(base uint64, cands []protocol.ParticipantID, filter func(protocol.ParticipantID) bool, msg *protocol.Delta, owed *OwedSet, ackTick, settle uint64) {
 	msg.BaseTick, msg.Tick = base, s.tick
 	msg.Changed = msg.Changed[:0]
-	msg.Removed = msg.Removed[:0]
-
-	cands, ok := s.changedSince(base, buf)
-	if !ok {
-		cands = buf[:0]
-		for _, id := range s.sortedIDs() {
-			if s.entities[id].changedTick > base {
-				cands = append(cands, id)
-			}
-		}
-	}
-	buf = cands
-	owedIDs := owed.sortedIDs()
+	cur, next := owed.beginWalk()
 	i, j := 0, 0
-	for i < len(cands) || j < len(owedIDs) {
-		var id protocol.ParticipantID
-		// The merge determines owed-membership for free: every mutation a
-		// step makes touches only that step's id, so the snapshot stays
-		// accurate for every id still ahead of the walk. The branches below
-		// exploit it to skip owed-map probes that could only be no-ops.
-		cand, wasOwed := false, false
+	for i < len(cands) || j < len(cur) {
 		switch {
-		case j >= len(owedIDs) || (i < len(cands) && cands[i] < owedIDs[j]):
-			id, cand = cands[i], true
+		case j >= len(cur) || (i < len(cands) && cands[i] < cur[j].id):
+			// Dirty, not owed: send it, or open a debt.
+			id := cands[i]
 			i++
-		case i >= len(cands) || owedIDs[j] < cands[i]:
-			id = owedIDs[j]
-			j++
-		default: // dirty and owed: the candidate walk subsumes the sweep
-			id, cand, wasOwed = cands[i], true, true
-			i++
-			j++
-		}
-		if cand {
-			if r := s.entities[id]; filter(id) {
-				msg.Changed = append(msg.Changed, r.state)
-				if wasOwed {
-					owed.markSent(id, s.tick)
-				}
-			} else if wasOwed {
-				owed.owe(id, r.changedTick)
+			if filter(id) {
+				msg.Changed = append(msg.Changed, s.entities[id].state)
 			} else {
-				owed.oweNew(id)
+				next = append(next, owedEntry{id: id})
 			}
-			continue
-		}
-		r, live := s.entities[id]
-		if !live {
-			owed.drop(id)
-			continue
-		}
-		if s.tick-r.changedTick < settle {
-			continue // still moving: the candidate walk will supersede this
-		}
-		if last := owed.lastSent(id); filter(id) && (last == 0 || ackTick >= last) {
-			msg.Changed = append(msg.Changed, r.state)
-			owed.markSent(id, s.tick)
+		case i >= len(cands) || cur[j].id < cands[i]:
+			// Owed, not dirty: the sweep.
+			e := cur[j]
+			j++
+			r, live := s.entities[e.id]
+			if !live {
+				continue // died: forget the debt
+			}
+			// Still moving (inside the settle window), the candidate walk
+			// will supersede it; otherwise resend once the filter admits it
+			// and no carrier of its state can still be in flight.
+			if s.tick-r.changedTick >= settle && filter(e.id) && (e.last == 0 || ackTick >= e.last) {
+				msg.Changed = append(msg.Changed, r.state)
+				e = owed.sentAt(e, s.tick)
+			}
+			next = append(next, e)
+		default:
+			// Dirty and owed: the candidate walk subsumes the sweep.
+			e := cur[j]
+			i++
+			j++
+			r := s.entities[e.id]
+			if filter(e.id) {
+				msg.Changed = append(msg.Changed, r.state)
+				e = owed.sentAt(e, s.tick)
+			} else if e.last != 0 && r.changedTick > e.last {
+				// Only a change strictly newer than the last planned carrier
+				// is a new debt: the ack-lagged baseline re-surfaces the
+				// change that carrier took for a tick or two after its send,
+				// and resetting on it would resend state the peer already
+				// holds on every tick without fresh changes.
+				e.last = 0
+			}
+			next = append(next, e)
 		}
 	}
-	first := sort.Search(len(s.removals), func(i int) bool { return s.removals[i].tick > base })
-	for _, rm := range s.removals[first:] {
-		msg.Removed = append(msg.Removed, rm.id)
-	}
-	return buf
+	owed.endWalk(cur, next)
+	s.appendRemovals(base, msg)
 }
 
 // SnapshotOwedInto is SnapshotInto for an interest-filtered peer with owed
@@ -389,34 +392,55 @@ func (s *Store) DeltaSinceOwedCands(base uint64, filter func(protocol.Participan
 // its changedTick, whatever it was, is now at or before the baseline and the
 // candidate walk will never surface it again. Included entities that were
 // owed become pending on the snapshot's tick; owed entries for dead entities
-// are forgotten (the snapshot conveys absence by omission).
+// are forgotten (the snapshot conveys absence by omission). Like the delta
+// walk, it merges the ascending live IDs with the owed entries and writes
+// the updated entries in order.
 func (s *Store) SnapshotOwedInto(filter func(protocol.ParticipantID) bool, msg *protocol.Snapshot, owed *OwedSet) {
 	msg.Tick = s.tick
 	msg.Entities = msg.Entities[:0]
-	for _, id := range s.sortedIDs() {
+	ids := s.sortedIDs()
+	cur, next := owed.beginWalk()
+	i, j := 0, 0
+	for i < len(ids) {
+		id := ids[i]
+		i++
+		for j < len(cur) && cur[j].id < id {
+			j++ // owed but dead: forget it
+		}
+		wasOwed := j < len(cur) && cur[j].id == id
+		e := owedEntry{id: id}
+		if wasOwed {
+			e = cur[j]
+			j++
+		}
 		if !filter(id) {
-			owed.mark(id)
+			e.last = 0 // omitted: owed whatever carried it before
+			next = append(next, e)
 			continue
 		}
 		msg.Entities = append(msg.Entities, s.entities[id].state)
-		owed.markSent(id, s.tick)
-	}
-	for id := range owed.pending {
-		if _, live := s.entities[id]; !live {
-			delete(owed.pending, id)
+		if wasOwed {
+			next = append(next, owed.sentAt(e, s.tick))
 		}
 	}
+	owed.endWalk(cur, next)
 }
 
-// changedSince returns the ascending IDs of live entities changed after base
-// via the dirty ring, built into the caller's buffer; ok is false when the
-// ring does not cover (base, tick] and the caller must fall back to a full
-// scan (buf is returned untouched so its capacity survives).
-func (s *Store) changedSince(base uint64, buf []protocol.ParticipantID) ([]protocol.ParticipantID, bool) {
-	if s.dirty == nil || base+1 < s.ringLo || base > s.tick {
-		return buf, false
-	}
+// candidatesSince returns the ascending IDs of live entities changed after
+// base, built into the caller's buffer (returned, possibly grown, for
+// reuse). Every delta against base walks exactly this list. When the dirty
+// ring covers (base, tick] it is the ring's changed-ID union; otherwise a
+// full scan.
+func (s *Store) candidatesSince(base uint64, buf []protocol.ParticipantID) []protocol.ParticipantID {
 	cands := buf[:0]
+	if s.dirty == nil || base+1 < s.ringLo || base > s.tick {
+		for _, id := range s.sortedIDs() {
+			if s.entities[id].changedTick > base {
+				cands = append(cands, id)
+			}
+		}
+		return cands
+	}
 	for t := base + 1; t <= s.tick; t++ {
 		for _, id := range s.dirty[t%dirtyRingCap] {
 			// An entity appears in every slot it changed at; keep only the
@@ -429,8 +453,7 @@ func (s *Store) changedSince(base uint64, buf []protocol.ParticipantID) ([]proto
 	}
 	slices.Sort(cands)
 	// A remove+re-add within one tick can duplicate an ID inside a slot.
-	cands = slices.Compact(cands)
-	return cands, true
+	return slices.Compact(cands)
 }
 
 // PruneRemovals discards removal log entries at or before minAck (the

@@ -16,12 +16,18 @@ import (
 
 // Grid is a 2D spatial hash over the classroom floor plane (X/Z), the
 // standard area-of-interest index. Queries (Neighbors, QueryRadius,
-// Position, Len) only read, so any number may run concurrently while no
-// Update or Remove does; mutations need exclusive access.
+// Position, Len, and Set.Refresh's scan) only read, so any number may run
+// concurrently while no Update or Remove does; mutations need exclusive
+// access.
+//
+// Each cell stores its entities' positions next to their IDs, so a query
+// reads every position straight from the cell it scans. The pos map is the
+// ID-keyed side of the index: Position answers from it, and Update and
+// Remove use it to find an entity's current cell.
 type Grid struct {
 	cell float64
 	pos  map[protocol.ParticipantID]mathx.Vec3
-	grid map[[2]int32][]protocol.ParticipantID
+	grid map[[2]int32][]cellEntry
 
 	// Occupied-cell bounding box, maintained incrementally so queries scan
 	// min(query square, occupied box) instead of the full query square — a
@@ -29,6 +35,13 @@ type Grid struct {
 	// classroom occupies ~16 cells. Inserts extend the box; emptying a
 	// boundary cell recomputes it at once, so queries never write.
 	bmin, bmax [2]int32
+}
+
+// cellEntry is one indexed entity in a grid cell. Its pos always equals the
+// entity's pos map value: Update rewrites both.
+type cellEntry struct {
+	id  protocol.ParticipantID
+	pos mathx.Vec3
 }
 
 // NewGrid creates a grid with the given cell size in meters (default 4).
@@ -39,7 +52,7 @@ func NewGrid(cellSize float64) *Grid {
 	return &Grid{
 		cell: cellSize,
 		pos:  make(map[protocol.ParticipantID]mathx.Vec3),
-		grid: make(map[[2]int32][]protocol.ParticipantID),
+		grid: make(map[[2]int32][]cellEntry),
 	}
 }
 
@@ -47,19 +60,25 @@ func (g *Grid) key(p mathx.Vec3) [2]int32 {
 	return [2]int32{int32(math.Floor(p.X / g.cell)), int32(math.Floor(p.Z / g.cell))}
 }
 
-// Update inserts or moves an entity.
+// Update inserts or moves an entity. A move inside the same cell rewrites
+// the entity's cell entry in place.
 func (g *Grid) Update(id protocol.ParticipantID, p mathx.Vec3) {
+	k := g.key(p)
 	if old, ok := g.pos[id]; ok {
-		ok2 := g.key(old)
-		k2 := g.key(p)
-		if ok2 == k2 {
-			g.pos[id] = p
-			return
+		g.pos[id] = p
+		if ok2 := g.key(old); ok2 != k {
+			g.removeFromCell(ok2, id)
+		} else {
+			cell := g.grid[k]
+			for i := range cell {
+				if cell[i].id == id {
+					cell[i].pos = p
+					return
+				}
+			}
 		}
-		g.removeFromCell(ok2, id)
 	}
 	g.pos[id] = p
-	k := g.key(p)
 	if cell := g.grid[k]; len(cell) == 0 {
 		if len(g.grid) == 0 {
 			g.bmin, g.bmax = k, k
@@ -70,7 +89,7 @@ func (g *Grid) Update(id protocol.ParticipantID, p mathx.Vec3) {
 			g.bmax[1] = max(g.bmax[1], k[1])
 		}
 	}
-	g.grid[k] = append(g.grid[k], id)
+	g.grid[k] = append(g.grid[k], cellEntry{id: id, pos: p})
 }
 
 // Remove deletes an entity. Removing an absent entity is a no-op.
@@ -85,8 +104,8 @@ func (g *Grid) Remove(id protocol.ParticipantID) {
 
 func (g *Grid) removeFromCell(k [2]int32, id protocol.ParticipantID) {
 	cell := g.grid[k]
-	for i, v := range cell {
-		if v == id {
+	for i, e := range cell {
+		if e.id == id {
 			cell[i] = cell[len(cell)-1]
 			cell = cell[:len(cell)-1]
 			break
@@ -103,8 +122,8 @@ func (g *Grid) removeFromCell(k [2]int32, id protocol.ParticipantID) {
 }
 
 // recomputeBounds rebuilds the occupied-cell bounding box after a boundary
-// cell was emptied. An empty grid keeps a stale box; Neighbors checks for
-// that case first.
+// cell was emptied. An empty grid keeps a stale box; span checks for that
+// case first.
 func (g *Grid) recomputeBounds() {
 	first := true
 	for k := range g.grid {
@@ -118,6 +137,22 @@ func (g *Grid) recomputeBounds() {
 		g.bmax[0] = max(g.bmax[0], k[0])
 		g.bmax[1] = max(g.bmax[1], k[1])
 	}
+}
+
+// span returns the inclusive cell range a query of radius around center must
+// scan: the query square clamped to the occupied bounding box. ok is false
+// when nothing can match (negative radius or empty grid).
+func (g *Grid) span(center mathx.Vec3, radius float64) (lo, hi [2]int32, ok bool) {
+	if radius < 0 || len(g.grid) == 0 {
+		return lo, hi, false
+	}
+	lo = g.key(center.Sub(mathx.V3(radius, 0, radius)))
+	hi = g.key(center.Add(mathx.V3(radius, 0, radius)))
+	lo[0] = max(lo[0], g.bmin[0])
+	lo[1] = max(lo[1], g.bmin[1])
+	hi[0] = min(hi[0], g.bmax[0])
+	hi[1] = min(hi[1], g.bmax[1])
+	return lo, hi, true
 }
 
 // Len returns the number of indexed entities.
@@ -143,25 +178,18 @@ func (g *Grid) QueryRadius(center mathx.Vec3, radius float64) []protocol.Partici
 // spatial hash visits only the cells overlapping the query square, so cost
 // scales with local density instead of total population.
 func (g *Grid) Neighbors(center mathx.Vec3, radius float64, buf []protocol.ParticipantID) []protocol.ParticipantID {
-	if radius < 0 || len(g.grid) == 0 {
+	lo, hi, ok := g.span(center, radius)
+	if !ok {
 		return buf
 	}
-	bmin, bmax := g.bmin, g.bmax
 	base := len(buf)
 	r2 := radius * radius
-	lo := g.key(center.Sub(mathx.V3(radius, 0, radius)))
-	hi := g.key(center.Add(mathx.V3(radius, 0, radius)))
-	lo[0] = max(lo[0], bmin[0])
-	lo[1] = max(lo[1], bmin[1])
-	hi[0] = min(hi[0], bmax[0])
-	hi[1] = min(hi[1], bmax[1])
 	for cx := lo[0]; cx <= hi[0]; cx++ {
 		for cz := lo[1]; cz <= hi[1]; cz++ {
-			for _, id := range g.grid[[2]int32{cx, cz}] {
-				p := g.pos[id]
-				dx, dz := p.X-center.X, p.Z-center.Z
+			for _, e := range g.grid[[2]int32{cx, cz}] {
+				dx, dz := e.pos.X-center.X, e.pos.Z-center.Z
 				if dx*dx+dz*dz <= r2 {
-					buf = append(buf, id)
+					buf = append(buf, e.id)
 				}
 			}
 		}
@@ -299,20 +327,16 @@ func ShouldSend(t Tier, source protocol.ParticipantID, tick uint64) bool {
 }
 
 // Set is a per-receiver cache of the sources whose update is due at the
-// current tick, rebuilt at most once per tick from one spatial query. It
-// replaces an all-pairs distance test per (receiver, source) with a
-// Neighbors query plus squared-distance classification, then answers each
-// source in O(1). Servers keep one Set per subscribed client.
+// current tick, rebuilt at most once per tick from one scan of the grid
+// cells around the receiver. It replaces an all-pairs distance test per
+// (receiver, source) with squared-distance classification of the sources in
+// reach, then answers each source in O(1). Servers keep one Set per
+// subscribed client.
 type Set struct {
 	allowed  map[protocol.ParticipantID]bool
 	allowAll bool
 	recv     protocol.ParticipantID
 	tick     uint64
-	// scratch is the set-owned neighbor buffer RefreshOwned queries into.
-	// Owning it here (instead of a buffer shared across receivers) is what
-	// lets the parallel tick refresh many clients' sets concurrently: each
-	// refresh touches only its own set's state and reads the shared grid.
-	scratch []protocol.ParticipantID
 }
 
 // NewSet returns an empty, ready-to-refresh set.
@@ -330,14 +354,14 @@ func (s *Set) Reset() {
 	s.tick = 0
 }
 
-// RefreshOwned is Refresh using the set's own neighbor buffer. Distinct sets
-// may be refreshed concurrently (each touches only its own state; the grid
-// and policy are read-only), which is how the parallel tick shards per-client
+// RefreshOwned is Refresh without a caller buffer. Distinct sets may be
+// refreshed concurrently (each touches only its own state; the grid and
+// policy are read-only), which is how the parallel tick shards per-client
 // classification across workers. Like Refresh it rebuilds at most once per
 // tick, so a set pre-refreshed on the pool answers the replication filter's
 // later call for the same tick from cache.
 func (s *Set) RefreshOwned(g *Grid, p *Policy, recv protocol.ParticipantID, tick uint64) {
-	s.scratch = s.Refresh(g, p, recv, tick, s.scratch)
+	s.Refresh(g, p, recv, tick, nil)
 }
 
 // Refresh rebuilds the set for receiver recv at tick, at most once per tick
@@ -345,8 +369,14 @@ func (s *Set) RefreshOwned(g *Grid, p *Policy, recv protocol.ParticipantID, tick
 // g the set admits everything — a just-joined receiver needs the full world
 // until placed. The receiver itself is never admitted: `Allows(g, recv) ==
 // false` is part of the contract, even in admit-everything mode and even
-// when recv is pinned. scratch is the caller's reusable neighbor buffer;
-// the grown buffer is returned for the caller to keep.
+// when recv is pinned.
+//
+// The rebuild scans the cells within the policy's cull radius once,
+// classifying each source by its squared distance read from the cell: the
+// same admissions as a QueryRadius(recvPos, CullRadius) plus ClassifySq and
+// ShouldSend per neighbor, without a position lookup or a sort per source.
+// scratch is returned untouched; it remains for callers that thread a
+// neighbor buffer.
 func (s *Set) Refresh(g *Grid, p *Policy, recv protocol.ParticipantID, tick uint64, scratch []protocol.ParticipantID) []protocol.ParticipantID {
 	s.recv = recv
 	if s.tick == tick {
@@ -360,15 +390,20 @@ func (s *Set) Refresh(g *Grid, p *Policy, recv protocol.ParticipantID, tick uint
 	}
 	s.allowAll = false
 	clear(s.allowed)
-	scratch = g.Neighbors(recvPos, p.CullRadius, scratch[:0])
-	for _, id := range scratch {
-		if id == recv { // Neighbors includes the query center
-			continue
-		}
-		pos, _ := g.Position(id)
-		dx, dz := pos.X-recvPos.X, pos.Z-recvPos.Z
-		if ShouldSend(p.ClassifySq(id, dx*dx+dz*dz), id, tick) {
-			s.allowed[id] = true
+	if lo, hi, ok := g.span(recvPos, p.CullRadius); ok {
+		r2 := p.CullRadius * p.CullRadius
+		for cx := lo[0]; cx <= hi[0]; cx++ {
+			for cz := lo[1]; cz <= hi[1]; cz++ {
+				for _, e := range g.grid[[2]int32{cx, cz}] {
+					if e.id == recv {
+						continue
+					}
+					dx, dz := e.pos.X-recvPos.X, e.pos.Z-recvPos.Z
+					if d2 := dx*dx + dz*dz; d2 <= r2 && ShouldSend(p.ClassifySq(e.id, d2), e.id, tick) {
+						s.allowed[e.id] = true
+					}
+				}
+			}
 		}
 	}
 	// Pinned sources are focus-tier regardless of distance (divisor 1, so no

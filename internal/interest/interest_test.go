@@ -479,3 +479,156 @@ func BenchmarkNeighbors1000(b *testing.B) {
 		buf = g.Neighbors(pos, 60, buf[:0])
 	}
 }
+
+// refAllows is the two-pass admission Set.Refresh replaced, kept as an
+// oracle: a sorted QueryRadius over the cull radius, ClassifySq and
+// ShouldSend per neighbor at its indexed position, then the pin loop. It
+// answers like Set.Allows.
+func refAllows(g *Grid, p *Policy, recv protocol.ParticipantID, tick uint64) func(protocol.ParticipantID) bool {
+	recvPos, placed := g.Position(recv)
+	allowed := make(map[protocol.ParticipantID]bool)
+	if placed {
+		for _, id := range g.QueryRadius(recvPos, p.CullRadius) {
+			if id == recv {
+				continue
+			}
+			pos, _ := g.Position(id)
+			dx, dz := pos.X-recvPos.X, pos.Z-recvPos.Z
+			if ShouldSend(p.ClassifySq(id, dx*dx+dz*dz), id, tick) {
+				allowed[id] = true
+			}
+		}
+		for id := range p.Pinned {
+			if _, indexed := g.Position(id); indexed && id != recv {
+				allowed[id] = true
+			}
+		}
+	}
+	return func(id protocol.ParticipantID) bool {
+		if id == recv {
+			return false
+		}
+		if _, indexed := g.Position(id); !placed || !indexed {
+			return true
+		}
+		return allowed[id]
+	}
+}
+
+// TestRefreshMatchesNeighborsClassification checks the one-pass Refresh
+// against refAllows over random grids under moves inside and across cells,
+// removals and re-inserts, pins inside and beyond the cull radius, a pinned
+// receiver, an unindexed receiver (admit-all), and sources exactly on a tier
+// or cull boundary.
+func TestRefreshMatchesNeighborsClassification(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := NewGrid(4)
+		p := NewPolicy()
+		p.CullRadius = float64(20 + rng.Intn(30))
+		const n = 120
+		span := 2 * (p.CullRadius + 20) // some sources lie beyond the cull radius
+		place := func() mathx.Vec3 {
+			return mathx.V3(rng.Float64()*span-span/2, rng.Float64(), rng.Float64()*span-span/2)
+		}
+		for i := 0; i < n; i++ {
+			g.Update(protocol.ParticipantID(i), place())
+		}
+		sets := map[protocol.ParticipantID]*Set{}
+		for tick := uint64(1); tick <= 60; tick++ {
+			for k := 0; k < 20; k++ {
+				id := protocol.ParticipantID(rng.Intn(n))
+				switch r := rng.Intn(10); {
+				case r < 5: // jitter: mostly a move inside the cell
+					if pos, ok := g.Position(id); ok {
+						g.Update(id, pos.Add(mathx.V3(rng.Float64()*0.4-0.2, 0, rng.Float64()*0.4-0.2)))
+					} else {
+						g.Update(id, place())
+					}
+				case r < 8: // a jump, usually to another cell
+					g.Update(id, place())
+				default:
+					g.Remove(id)
+				}
+			}
+			// Receiver 0 on whole-meter coordinates and sources 3..6 exactly
+			// on the focus, near, far and cull radii from it: the distances
+			// are exact in float64, so each sits on its boundary.
+			x0, z0 := float64(rng.Intn(40)-20), float64(rng.Intn(40)-20)
+			g.Update(0, mathx.V3(x0, 0, z0))
+			for k, r := range []float64{p.FocusRadius, p.NearRadius, p.FarRadius, p.CullRadius} {
+				g.Update(protocol.ParticipantID(3+k), mathx.V3(x0+r, 0, z0))
+			}
+			if rng.Intn(3) == 0 {
+				if id := protocol.ParticipantID(rng.Intn(n)); rng.Intn(2) == 0 {
+					p.Pin(id)
+				} else {
+					p.Unpin(id)
+				}
+			}
+			// Receivers: placed ones, a pinned one, and one never indexed.
+			recvs := []protocol.ParticipantID{0, 1, 2, n + 1}
+			p.Pin(1)
+			for _, recv := range recvs {
+				s := sets[recv]
+				if s == nil {
+					s = NewSet()
+					sets[recv] = s
+				}
+				s.RefreshOwned(g, p, recv, tick)
+				want := refAllows(g, p, recv, tick)
+				for id := protocol.ParticipantID(0); id <= n+2; id++ {
+					if got := s.Allows(g, id); got != want(id) {
+						t.Fatalf("seed %d tick %d recv %d source %d: Allows = %v, reference %v (pinned=%v)",
+							seed, tick, recv, id, got, want(id), p.Pinned[id])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGridSameCellMoveUpdatesQueries moves an entity inside its cell across
+// a query radius and a tier boundary: queries and Refresh read positions
+// from the cell, so a stale cell entry would answer from the old spot.
+func TestGridSameCellMoveUpdatesQueries(t *testing.T) {
+	g := NewGrid(4)
+	p := NewPolicy() // focus 3 m, near 8 m
+	const recv, src = protocol.ParticipantID(1), protocol.ParticipantID(2)
+	g.Update(recv, mathx.V3(0.1, 0, 0.1))
+	g.Update(src, mathx.V3(3.9, 0, 0.1)) // near tier, cell (0,0)
+	// A tick on which the near tier (divisor 2) does not send src.
+	tick := uint64(1)
+	if ShouldSend(TierNear, src, tick) {
+		tick = 2
+	}
+	if got := g.QueryRadius(mathx.Vec3{}, 3); len(got) != 1 || got[0] != recv {
+		t.Fatalf("QueryRadius before move = %v, want [1]", got)
+	}
+	s := NewSet()
+	s.RefreshOwned(g, p, recv, tick)
+	if s.Allows(g, src) {
+		t.Fatal("near-tier source admitted on its off tick")
+	}
+
+	g.Update(src, mathx.V3(2.5, 0, 0.1)) // same cell, now focus tier and in radius
+	if got := g.QueryRadius(mathx.Vec3{}, 3); len(got) != 2 || got[1] != src {
+		t.Errorf("QueryRadius after same-cell move in = %v, want [1 2]", got)
+	}
+	s.RefreshOwned(g, p, recv, tick+2)
+	if !s.Allows(g, src) {
+		t.Error("focus-tier source rejected after a same-cell move")
+	}
+
+	g.Update(src, mathx.V3(3.9, 0, 0.1)) // and back out
+	if got := g.QueryRadius(mathx.Vec3{}, 3); len(got) != 1 {
+		t.Errorf("QueryRadius after same-cell move out = %v, want [1]", got)
+	}
+	s.RefreshOwned(g, p, recv, tick+4)
+	if s.Allows(g, src) {
+		t.Error("near-tier source admitted on its off tick after moving back")
+	}
+	if pos, _ := g.Position(src); pos.X != 3.9 {
+		t.Errorf("Position = %v, want X 3.9", pos)
+	}
+}

@@ -270,10 +270,10 @@ func (r *Runtime) Replicate(addr endpoint.Addr, filter core.FilterFunc) error {
 // squared-distance classification per client per tick through the client's
 // set, instead of an all-pairs sqrt test per (client, source). Built once
 // per pooled Client — it reads c.ID dynamically, so reuse across joins
-// allocates nothing. The refresh goes through the set's own neighbor
-// buffer, so concurrent filter calls for distinct clients (the parallel
-// plan) never share scratch; when refreshInterest already ran this tick the
-// refresh is a cached no-op.
+// allocates nothing. The refresh writes only the client's own set, so
+// concurrent filter calls for distinct clients (the parallel plan) never
+// share scratch; when refreshInterest already ran this tick the refresh is
+// a cached no-op.
 func (r *Runtime) clientFilter(c *Client) core.FilterFunc {
 	return func(id protocol.ParticipantID, tick uint64) bool {
 		if id == c.ID {
