@@ -10,9 +10,9 @@ import (
 )
 
 // refPeer is the reference planner's shadow of one peer: its ack state and
-// counters, plus — for a filtered peer — its own owed set. log holds the
-// LossRepair send log; only its record bookkeeping is shared with the
-// replicator, never the planner.
+// counters, plus — for a filtered peer — its own owed set. log is a naive
+// send log, kept apart from the replicator's: every planned message with a
+// copy of the owed IDs it carried, never compacted.
 type refPeer struct {
 	ackTick      uint64
 	acked        bool
@@ -21,7 +21,14 @@ type refPeer struct {
 	deltas       uint64
 	filter       FilterFunc
 	owed         *OwedSet
-	log          peerState
+	log          []refSent
+}
+
+// refSent is one planned message in a refPeer's send log.
+type refSent struct {
+	tick, base uint64
+	snap       bool
+	carried    []protocol.ParticipantID
 }
 
 func newRefPeer(filter FilterFunc) *refPeer {
@@ -32,13 +39,47 @@ func newRefPeer(filter FilterFunc) *refPeer {
 	return p
 }
 
-// ack mirrors Replicator.Ack: the owed set settles on receipt, and the
-// floor advances (or, under LossRepair, regresses to a skipped window).
-func (p *refPeer) ack(tick uint64, lossRepair bool) {
-	p.owed.AckDrop(tick)
+// sent files a planned message in the naive log, with the owed IDs the
+// peer's last walk carried. Like the replicator's log it holds at most
+// maxSentLog records.
+func (p *refPeer) sent(tick, base uint64, snap bool) {
+	rec := refSent{tick: tick, base: base, snap: snap}
+	if p.owed != nil {
+		rec.carried = append([]protocol.ParticipantID(nil), p.owed.carried...)
+	}
+	if len(p.log) == maxSentLog {
+		p.log = p.log[1:]
+	}
+	p.log = append(p.log, rec)
+}
+
+// ack mirrors Replicator.Ack over the naive log: every message planned at
+// or before tick leaves the log; the owed IDs the message planned at tick
+// carried settle; a snapshot ack proves its tick; a delta ack proves its
+// tick unless an unacked delta with an older base was skipped, in which
+// case the floor falls to the oldest such base, even below the current one.
+func (p *refPeer) ack(tick uint64) {
+	var keep []refSent
+	var match *refSent
+	skipped, oldest := false, uint64(0)
+	for i := range p.log {
+		rec := &p.log[i]
+		switch {
+		case rec.tick > tick:
+			keep = append(keep, *rec)
+		case rec.tick == tick:
+			match = rec
+			if p.owed != nil {
+				p.owed.settle(rec.carried, tick)
+			}
+		case !rec.snap && (!skipped || rec.base < oldest):
+			skipped, oldest = true, rec.base
+		}
+	}
+	p.log = keep
 	floor, repair := tick, false
-	if lossRepair {
-		floor, repair = p.log.resolveAck(tick)
+	if skipped && (match == nil || !match.snap && oldest < match.base) {
+		floor, repair = oldest, true
 	}
 	switch {
 	case !p.acked || floor > p.ackTick:
@@ -93,9 +134,7 @@ func referencePlanTick(s *Store, cfg ReplConfig, peers map[string]*refPeer, orde
 			}
 			p.lastSnapshot = tick
 			p.snapshots++
-			if cfg.LossRepair {
-				p.log.noteSent(tick, p.ackTick, true)
-			}
+			p.sent(tick, p.ackTick, true)
 			out = append(out, refMessage{PeerMessage{Peer: id, Msg: msg}, key})
 			continue
 		}
@@ -112,9 +151,7 @@ func referencePlanTick(s *Store, cfg ReplConfig, peers map[string]*refPeer, orde
 			continue
 		}
 		p.deltas++
-		if cfg.LossRepair {
-			p.log.noteSent(tick, p.ackTick, false)
-		}
+		p.sent(tick, p.ackTick, false)
 		out = append(out, refMessage{PeerMessage{Peer: id, Msg: delta}, key})
 	}
 	return out
@@ -228,7 +265,7 @@ func TestCohortPlanMatchesPerPeerPlanBroadcast(t *testing.T) {
 				if err := repl.Ack(id, src.Tick()); err != nil {
 					t.Fatal(err)
 				}
-				refPeers[id].ack(shadow.Tick(), false)
+				refPeers[id].ack(shadow.Tick())
 			}
 		}
 	}

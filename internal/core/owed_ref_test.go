@@ -13,13 +13,21 @@ import (
 
 // mapOwedSet is the map-backed owed tracker the sorted-slice OwedSet
 // replaced, kept as a test oracle: a pending map (ID → last planned carrier
-// tick) with a sorted key mirror, plus the same tick-ordered send log. Its
-// snapshot walk also drops dead IDs from the key mirror, which the original
-// forgot to do.
+// tick) with a sorted key mirror, plus its own tick-ordered log of carried
+// IDs. Its snapshot walk also drops dead IDs from the key mirror, which the
+// original forgot to do. It follows the current owe rules: a change stamped
+// at the carrier's tick re-opens the debt, and a delta that lists a live
+// entity as removed without carrying it re-marks the entity.
 type mapOwedSet struct {
 	pending map[protocol.ParticipantID]uint64
 	keys    []protocol.ParticipantID
-	sent    []sentRec
+	sent    []mapSentRec
+}
+
+// mapSentRec is one owed ID carried by the message planned at tick.
+type mapSentRec struct {
+	id   protocol.ParticipantID
+	tick uint64
 }
 
 func newMapOwedSet() *mapOwedSet {
@@ -40,7 +48,7 @@ func (o *mapOwedSet) removeKey(id protocol.ParticipantID) {
 
 func (o *mapOwedSet) owe(id protocol.ParticipantID, changedTick uint64) {
 	last, ok := o.pending[id]
-	if ok && (last == 0 || changedTick <= last) {
+	if ok && (last == 0 || changedTick < last) {
 		return
 	}
 	o.pending[id] = 0
@@ -59,7 +67,7 @@ func (o *mapOwedSet) mark(id protocol.ParticipantID) {
 func (o *mapOwedSet) markSent(id protocol.ParticipantID, tick uint64) {
 	if _, ok := o.pending[id]; ok {
 		o.pending[id] = tick
-		o.sent = append(o.sent, sentRec{id: id, tick: tick})
+		o.sent = append(o.sent, mapSentRec{id: id, tick: tick})
 	}
 }
 
@@ -146,6 +154,14 @@ func mapDeltaSinceOwed(s *Store, base uint64, filter func(protocol.ParticipantID
 			msg.Removed = append(msg.Removed, rm.id)
 		}
 	}
+	for _, id := range msg.Removed {
+		if _, live := s.entities[id]; !live {
+			continue
+		}
+		if !slices.ContainsFunc(msg.Changed, func(e protocol.EntityState) bool { return e.Participant == id }) {
+			owed.mark(id)
+		}
+	}
 }
 
 // mapSnapshotOwed is the map-backed tracker's filtered snapshot walk, with
@@ -169,11 +185,13 @@ func mapSnapshotOwed(s *Store, filter func(protocol.ParticipantID) bool, msg *pr
 }
 
 // TestOwedWalkMatchesMapReference drives the sorted-slice OwedSet through
-// DeltaSinceOwedCands, SnapshotOwedInto and AckDrop next to the map-backed
-// oracle over one store, with random upserts, removes and same-tick
-// remove+re-add, per-tick random filters, settle windows 0–8, and exact,
-// lost, duplicate, regressed and future acks. After every step the messages,
-// Owes and Len for every ID, and the exported owed list must agree.
+// DeltaSinceOwedCands and SnapshotOwedInto, with every message filed in a
+// peer send log (noteSent) and every ack resolved against it (resolveAck),
+// next to the map-backed oracle over one store, with random upserts, removes
+// and same-tick remove+re-add, per-tick random filters, settle windows 0–8,
+// and exact, lost, duplicate, regressed and future acks. After every step
+// the messages, Owes and Len for every ID, and the exported owed list must
+// agree.
 func TestOwedWalkMatchesMapReference(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -182,6 +200,7 @@ func TestOwedWalkMatchesMapReference(t *testing.T) {
 			settle := uint64(rng.Intn(9))
 			store := NewStore()
 			owed, ref := NewOwedSet(), newMapOwedSet()
+			peer := &peerState{owed: owed}
 			var msg, refMsg protocol.Delta
 			var snap, refSnap protocol.Snapshot
 			var buf []protocol.ParticipantID
@@ -233,6 +252,7 @@ func TestOwedWalkMatchesMapReference(t *testing.T) {
 					if !slices.EqualFunc(snap.Entities, refSnap.Entities, entityEqual) || snap.Tick != refSnap.Tick {
 						t.Fatalf("tick %d: snapshot %v, reference %v", store.Tick(), snap.Entities, refSnap.Entities)
 					}
+					peer.noteSent(store.Tick(), floor, true)
 					floor = store.Tick()
 				} else {
 					base := floor
@@ -246,12 +266,13 @@ func TestOwedWalkMatchesMapReference(t *testing.T) {
 						t.Fatalf("tick %d base %d: delta changed=%v removed=%v, reference changed=%v removed=%v",
 							store.Tick(), base, msg.Changed, msg.Removed, refMsg.Changed, refMsg.Removed)
 					}
+					peer.noteSent(store.Tick(), base, false)
 				}
 				planned = append(planned, store.Tick())
 				check("plan")
 
 				// A peer that stops acking for a stretch piles up send-log
-				// records, driving the log's stale-record compaction.
+				// records, driving the carried-ID compaction.
 				silent := tick%140 >= 60 && tick%140 < 130
 				for k := rng.Intn(3); k > 0 && !silent; k-- {
 					var ack uint64
@@ -265,7 +286,7 @@ func TestOwedWalkMatchesMapReference(t *testing.T) {
 					default:
 						continue // lost
 					}
-					owed.AckDrop(ack)
+					peer.resolveAck(ack)
 					ref.ackDrop(ack)
 					if ack <= store.Tick() && ack > floor {
 						floor = ack

@@ -118,8 +118,7 @@ func TestDecimatedChangeEventuallyDelivered(t *testing.T) {
 //     sometimes-admissible live entity reaches its authoritative state and
 //     the owed backlog drains to zero.
 func TestOwedConvergenceProperty(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		seed := seed
+	for seed := int64(1); seed <= 200; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			const n = 40

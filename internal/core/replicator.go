@@ -19,7 +19,8 @@ var (
 // management hook). A nil FilterFunc admits everything.
 type FilterFunc func(id protocol.ParticipantID, tick uint64) bool
 
-// ReplConfig tunes replication behavior.
+// ReplConfig tunes replication behavior. Loss recovery is not among the
+// knobs: every replicator runs it (see Replicator.Ack).
 type ReplConfig struct {
 	// MaxDeltaWindow is the maximum tick distance between a peer's ack and
 	// the current tick before the replicator falls back to a full snapshot
@@ -38,22 +39,6 @@ type ReplConfig struct {
 	// with their last change unsent. Smaller values converge at-rest
 	// entities faster at the cost of redundant sends for moving ones.
 	OwedSettleTicks uint64
-	// LossRepair closes the lost-carrier hole in delta replication. State
-	// authored between a tick's plan and the next is stamped with the
-	// already-planned tick, so exactly one delta — the next tick's, whose
-	// base still lies below the stamp — carries it. If that one frame is
-	// lost, later deltas exclude the change (their base has passed its
-	// stamp) yet still apply cleanly at the replica, the ack floor sails
-	// past it, and the content is never sent again: silent divergence with
-	// zero recorded gaps. With LossRepair on, the replicator keeps a
-	// per-peer log of outstanding sends and, when an ack skips past unacked
-	// deltas, advances the baseline only to the oldest skipped delta's base
-	// — re-opening exactly the window the lost frame carried, which the
-	// next delta then re-covers. Acks arriving in order leave behavior
-	// byte-identical to the flag being off; reordered acks cost at worst a
-	// redundant partial re-send. Off by default: deployments gate it where
-	// replica convergence is audited (the geo handoff layer).
-	LossRepair bool
 	// Pool shards PlanTick's independent builds — the filtered per-peer
 	// snapshots/deltas and the distinct ack-cohort deltas — across its
 	// workers, merging results back in sorted-peer order so the plan is
@@ -103,50 +88,91 @@ type peerState struct {
 	// Owned exclusively by this peer's builds and acks — see OwedSet for
 	// the ownership and determinism contract.
 	owed *OwedSet
-	// sent is the outstanding send log (LossRepair only): one record per
-	// planned message not yet resolved by an ack, ascending by tick.
-	sent []sentRecord
+	// sent is the send log: one record per planned message not yet resolved
+	// by an ack, ascending by tick. carried holds the owed IDs the records'
+	// messages carried, record after record.
+	sent    []sentRecord
+	carried []protocol.ParticipantID
 }
 
 // sentRecord is one outstanding planned message in a peer's send log: the
 // message tick, the delta baseline it was built against (unused for
-// snapshots), and whether it was a full snapshot.
+// snapshots), whether it was a full snapshot, and how many owed IDs it
+// carried.
 type sentRecord struct {
-	tick uint64
-	base uint64
-	snap bool
+	tick    uint64
+	base    uint64
+	snap    bool
+	carried int
 }
 
 // maxSentLog bounds a peer's outstanding send log. A peer silent this long
 // is far past MaxDeltaWindow and receiving snapshots; dropping the oldest
-// records costs nothing because any snapshot ack restores total coverage.
+// records costs nothing because any snapshot ack restores total coverage,
+// and their owed IDs stay owed until the retransmit gate re-sends them.
 const maxSentLog = 512
 
-// noteSent appends a record to the outstanding send log.
+// noteSent logs the message planned at tick with the owed IDs its walk
+// carried. Once a peer that stopped acking (each re-send supersedes the
+// last) piles up more than max(256, 4 × owed entries) carried IDs, they are
+// compacted to those an ack could still settle.
 func (p *peerState) noteSent(tick, base uint64, snap bool) {
 	if len(p.sent) >= maxSentLog {
-		copy(p.sent, p.sent[1:])
-		p.sent = p.sent[:len(p.sent)-1]
+		p.popSent(1, p.sent[0].carried)
 	}
-	p.sent = append(p.sent, sentRecord{tick: tick, base: base, snap: snap})
+	rec := sentRecord{tick: tick, base: base, snap: snap}
+	if p.owed != nil {
+		rec.carried = len(p.owed.carried)
+		p.carried = append(p.carried, p.owed.carried...)
+	}
+	p.sent = append(p.sent, rec)
+	if n := len(p.carried); n > 256 && n > 4*p.owed.Len() {
+		p.compactCarried()
+	}
 }
 
-// resolveAck pops the send log through tick and returns the baseline the
-// ack actually proves, plus whether a possible loss was detected. An ack of
-// a snapshot proves everything below its tick. An ack of a delta proves the
-// current floor plus that delta's window — contiguous only if no unacked
-// delta with an older base was skipped on the way; if one was, its window
-// may be lost in flight, so the baseline falls back to the skipped delta's
-// base and the next plan re-covers the window. The fallback may lie BELOW
-// the current floor: content authored between a tick's plan and the next is
-// stamped with the already-planned tick, so the in-order ack of tick T
-// proves delivery only through stamp T-1 while the floor reads T — a lost
-// T+1 strands stamp-T content behind a floor that already passed it, and
-// only a regression re-opens the window. Skipped deltas sharing the acked
-// message's base need no repair: the acked message carried their whole
-// window again.
+// compactCarried drops every carried ID whose entry's newest carrier is no
+// longer its record's message. Such an ID can never settle again (last only
+// moves forward or back to 0), so no ack can observe the drop.
+func (p *peerState) compactCarried() {
+	w, off := 0, 0
+	for k := range p.sent {
+		rec, start := &p.sent[k], w
+		for _, id := range p.carried[off : off+rec.carried] {
+			if i, ok := p.owed.find(id); ok && p.owed.entries[i].last == rec.tick {
+				p.carried[w] = id
+				w++
+			}
+		}
+		off, rec.carried = off+rec.carried, w-start
+	}
+	p.carried = p.carried[:w]
+}
+
+// popSent drops the first n records and the ids carried IDs they hold.
+func (p *peerState) popSent(n, ids int) {
+	p.sent = p.sent[:copy(p.sent, p.sent[n:])]
+	p.carried = p.carried[:copy(p.carried, p.carried[ids:])]
+}
+
+// resolveAck pops the send log through tick, settles the owed IDs the acked
+// message carried, and returns the baseline the ack actually proves, plus
+// whether a possible loss was detected. An ack of a snapshot proves
+// everything below its tick. An ack of a delta proves the current floor
+// plus that delta's window — contiguous only if no unacked delta with an
+// older base was skipped on the way; if one was, its window may be lost in
+// flight, so the baseline falls back to the skipped delta's base and the
+// next plan re-covers the window. The fallback may lie BELOW the current
+// floor: content authored between a tick's plan and the next is stamped
+// with the already-planned tick, so the in-order ack of tick T proves
+// delivery only through stamp T-1 while the floor reads T — a lost T+1
+// strands stamp-T content behind a floor that already passed it, and only a
+// regression re-opens the window. Skipped deltas sharing the acked message's
+// base need no repair: the acked message carried their whole window again.
+// A regressed or duplicate ack finds its record gone and settles nothing;
+// the retransmit gate re-sends the debt, redundant but never a wrong settle.
 func (p *peerState) resolveAck(tick uint64) (uint64, bool) {
-	n := 0
+	n, off := 0, 0
 	matched, matchedSnap := false, false
 	var matchedBase uint64
 	skipped, skippedBase := false, uint64(0)
@@ -155,18 +181,16 @@ func (p *peerState) resolveAck(tick uint64) (uint64, bool) {
 		n++
 		if rec.tick == tick {
 			matched, matchedSnap, matchedBase = true, rec.snap, rec.base
-			break
-		}
-		if !rec.snap && !skipped {
-			// Bases ascend with the log, so the first skipped delta's base
-			// is the oldest — the only one the repair needs.
+			p.owed.settle(p.carried[off:off+rec.carried], tick)
+		} else if !rec.snap && (!skipped || rec.base < skippedBase) {
+			// The oldest skipped base is the only one the repair needs. It
+			// need not be the first: a repair lowers the floor, so deltas
+			// planned after it carry older bases than those before.
 			skipped, skippedBase = true, rec.base
 		}
+		off += rec.carried
 	}
-	if n > 0 {
-		copy(p.sent, p.sent[n:])
-		p.sent = p.sent[:len(p.sent)-n]
-	}
+	p.popSent(n, off)
 	switch {
 	case matched && matchedSnap:
 		return tick, false
@@ -196,7 +220,7 @@ func (p *peerState) reset() {
 	if p.owed != nil {
 		p.owed.Reset()
 	}
-	p.sent = p.sent[:0]
+	p.sent, p.carried = p.sent[:0], p.carried[:0]
 }
 
 // deltaCohort memoizes one distinct delta built during a PlanTick. A nil msg
@@ -373,32 +397,23 @@ func (r *Replicator) PeersAppend(dst []string) []string {
 	return append(dst, r.sortedPeerIDs()...)
 }
 
-// Ack records that peer has applied state up to tick. Regressions (acks
-// older than the recorded floor) are ignored — reordered ack packets must
-// not move the baseline backwards. Only an ack that actually advances the
-// baseline can raise the prune floor, so ignored regressions do not
-// schedule a prune scan.
+// Ack records that peer has applied the message planned at tick, resolved
+// in one pass over the peer's send log (see resolveAck): the owed IDs that
+// message carried settle, and the floor advances only to what the log
+// proves delivered. A detected skip is the one case that moves the floor
+// BACKWARDS (deltas carry latest state, so re-sending never rolls a replica
+// back); other regressions are ignored, and so is an ack for a tick the
+// store has not reached. Only an ack that advances the floor can raise the
+// prune floor, so ignored regressions do not schedule a prune scan.
 func (r *Replicator) Ack(peer string, tick uint64) error {
 	p, ok := r.peers[peer]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownPeer, peer)
 	}
-	// Receipt is receipt regardless of ordering: even a regressed ack proves
-	// the tick's message arrived, settling any owed entities it carried.
-	p.owed.AckDrop(tick)
-	floor, repair := tick, false
-	if r.cfg.LossRepair {
-		// Advance only to what the send log proves delivered: an ack that
-		// skips unacked deltas re-opens the oldest skipped window instead of
-		// sailing past content that may have died in flight. A detected skip
-		// is the one case allowed to move the baseline BACKWARDS — the
-		// existing floor came from acks that prove delivery only through
-		// stamp floor-1, so the lost window can sit beneath it (see
-		// resolveAck). Spurious regressions from mere ack reorder cost only
-		// redundant delta content; deltas carry latest state, so re-applying
-		// them never rolls a replica back.
-		floor, repair = p.resolveAck(tick)
+	if tick > r.store.Tick() {
+		return nil
 	}
+	floor, repair := p.resolveAck(tick)
 	switch {
 	case !p.acked || floor > p.ackTick:
 		p.ackTick = floor
@@ -505,7 +520,7 @@ func (r *Replicator) ImportBaseline(peer string, b PeerBaseline) error {
 	}
 	// The send log describes the exporter's traffic; whatever of it was in
 	// flight died with the old route, and this node's sends start fresh.
-	p.sent = p.sent[:0]
+	p.sent, p.carried = p.sent[:0], p.carried[:0]
 	return nil
 }
 
@@ -567,11 +582,12 @@ type PeerMessage struct {
 //	           cache is warmed first.
 //	3 (owner)  re-walk sorted peers, re-deriving the same decisions (nothing
 //	           they depend on moved in pass 2), assigning cohort IDs in
-//	           first-use order and bumping the per-peer counters.
+//	           first-use order, bumping the per-peer counters and filing
+//	           each planned message in its peer's send log.
 //
 // Only pass 2 depends on the pool, and its jobs are independent, so the
-// result — ordering, message contents, cohort numbering, counters — is
-// byte-identical at every worker count and job scheduling order.
+// result — ordering, message contents, cohort numbering, counters, send
+// logs — is byte-identical at every worker count and job scheduling order.
 func (r *Replicator) PlanTick() []PeerMessage {
 	tick := r.store.Tick()
 	r.planTick = tick
@@ -622,7 +638,7 @@ func (r *Replicator) PlanTick() []PeerMessage {
 	r.cfg.Pool.Run(len(jobs), r.runJob)
 
 	// Pass 3: merge in sorted-peer order, numbering cohorts in first-use
-	// order and updating counters over the prebuilt messages.
+	// order and updating counters and send logs over the prebuilt messages.
 	out := r.plan[:0]
 	sharedSnapCohort := cohortUnnumbered
 	nextCohort := 0
@@ -645,9 +661,7 @@ func (r *Replicator) PlanTick() []PeerMessage {
 			}
 			p.lastSnapshot = tick
 			p.snapshots++
-			if r.cfg.LossRepair {
-				p.noteSent(tick, p.ackTick, true)
-			}
+			p.noteSent(tick, p.ackTick, true)
 			out = append(out, PeerMessage{Peer: id, Msg: snap, Cohort: cohort})
 			continue
 		}
@@ -656,9 +670,7 @@ func (r *Replicator) PlanTick() []PeerMessage {
 				continue
 			}
 			p.deltas++
-			if r.cfg.LossRepair {
-				p.noteSent(tick, p.ackTick, false)
-			}
+			p.noteSent(tick, p.ackTick, false)
 			out = append(out, PeerMessage{Peer: id, Msg: p.scratch, Cohort: nextCohort})
 			nextCohort++
 			continue
@@ -677,9 +689,7 @@ func (r *Replicator) PlanTick() []PeerMessage {
 			continue
 		}
 		p.deltas++
-		if r.cfg.LossRepair {
-			p.noteSent(tick, p.ackTick, false)
-		}
+		p.noteSent(tick, p.ackTick, false)
 		out = append(out, PeerMessage{Peer: id, Msg: dc.msg, Cohort: dc.cohort})
 	}
 	r.plan = out

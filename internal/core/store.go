@@ -298,10 +298,11 @@ func (s *Store) appendRemovals(base uint64, msg *protocol.Delta) {
 // per tick (candidatesSince) and runs every filtered peer's walk over the
 // shared list (deltaOwedFrom). Beyond the plain filtered build the walk
 //
-//   - marks a candidate the filter rejects as owed when its change is newer
-//     than the last planned message that carried it (the peer's ack can pass
-//     the change before the filter ever admits it; candidates the ack-lagged
-//     baseline merely re-surfaces after their send create no new debt);
+//   - marks a candidate the filter rejects as owed unless its change is
+//     older than the last planned message that carried it (the peer's ack
+//     can pass the change before the filter ever admits it; candidates the
+//     ack-lagged baseline merely re-surfaces after their send create no new
+//     debt);
 //   - sweeps the owed set, re-including an owed entity's current state once
 //     the filter admits it — even when its changedTick is at or before base
 //     — so a change suppressed on its only dirty tick is still delivered;
@@ -319,8 +320,10 @@ func (s *Store) appendRemovals(base uint64, msg *protocol.Delta) {
 // entity visited once, filter invoked once per entity), and the walk writes
 // the updated owed entries in the same order, so Changed stays ascending
 // and byte-identical across runs and worker counts. Removals are never
-// filtered and never owed: the log reaches every peer. Owed entities that
-// died are forgotten during the sweep for the same reason.
+// filtered: the log reaches every peer, and owed entities that died are
+// forgotten during the sweep for that reason. A live ID in the log was
+// re-added inside the window; a delta that lists it without carrying it
+// erases it at the receiver, so the walk re-marks it owed.
 func (s *Store) DeltaSinceOwedCands(base uint64, filter func(protocol.ParticipantID) bool, msg *protocol.Delta, buf []protocol.ParticipantID, owed *OwedSet, ackTick, settle uint64) []protocol.ParticipantID {
 	buf = s.candidatesSince(base, buf)
 	s.deltaOwedFrom(base, buf, filter, msg, owed, ackTick, settle)
@@ -371,12 +374,11 @@ func (s *Store) deltaOwedFrom(base uint64, cands []protocol.ParticipantID, filte
 			if filter(e.id) {
 				msg.Changed = append(msg.Changed, r.state)
 				e = owed.sentAt(e, s.tick)
-			} else if e.last != 0 && r.changedTick > e.last {
-				// Only a change strictly newer than the last planned carrier
-				// is a new debt: the ack-lagged baseline re-surfaces the
-				// change that carrier took for a tick or two after its send,
-				// and resetting on it would resend state the peer already
-				// holds on every tick without fresh changes.
+			} else if e.last != 0 && r.changedTick >= e.last {
+				// A change stamped at the carrier's tick L or later is a new
+				// debt: a write after L's plan is stamped L too. An older
+				// change is the one the carrier took, which the ack-lagged
+				// baseline re-surfaces for a tick or two after the send.
 				e.last = 0
 			}
 			next = append(next, e)
@@ -384,6 +386,14 @@ func (s *Store) deltaOwedFrom(base uint64, cands []protocol.ParticipantID, filte
 	}
 	owed.endWalk(cur, next)
 	s.appendRemovals(base, msg)
+	// A live removed ID was re-added inside the window. Removals apply
+	// first, so unless this delta carries it, it erases the entity at the
+	// receiver, whatever an earlier message carried.
+	for _, id := range msg.Removed {
+		if _, live := s.entities[id]; live && !slices.ContainsFunc(msg.Changed, func(e protocol.EntityState) bool { return e.Participant == id }) {
+			owed.mark(id)
+		}
+	}
 }
 
 // SnapshotOwedInto is SnapshotInto for an interest-filtered peer with owed

@@ -95,10 +95,6 @@ func (c *Config) applyDefaults() {
 	if c.RoamHysteresis <= 0 {
 		c.RoamHysteresis = 15 * time.Millisecond
 	}
-	// Handoff correctness is audited by byte-identical convergence gates, so
-	// every geo server repairs deltas lost in flight instead of letting the
-	// ack floor sail past them (see core.ReplConfig.LossRepair).
-	c.Repl.LossRepair = true
 	if c.AccessLink == nil {
 		c.AccessLink = AccessLink
 	}
